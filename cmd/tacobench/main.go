@@ -71,7 +71,7 @@ func main() {
 
 func run() error {
 	var (
-		modes       = flag.String("modes", "local,cabinet,remote,guarded,script,hop,durable,durable-naive,replicated,mixed,parked,fleet,fleet-lookup,fleet-converge", "comma-separated workloads to run")
+		modes       = flag.String("modes", "local,cabinet,remote,guarded,script,hop,durable,replicated,mixed,parked,fleet,fleet-lookup,fleet-converge", "comma-separated workloads to run")
 		concurrency = flag.Int("concurrency", 2*runtime.GOMAXPROCS(0), "concurrent client goroutines per workload")
 		duration    = flag.Duration("duration", 2*time.Second, "measurement window per workload")
 		payload     = flag.Int("payload", 64, "briefcase payload element size in bytes")
@@ -283,11 +283,9 @@ func buildWorkload(mode string, o benchOpts) (workload, error) {
 	case "hop":
 		return hopWorkload(concurrency, payload)
 	case "durable":
-		return durableWorkload(payload, false, false)
-	case "durable-naive":
-		return durableWorkload(payload, true, false)
+		return durableWorkload(payload, false)
 	case "replicated":
-		return durableWorkload(payload, false, true)
+		return durableWorkload(payload, true)
 	case "parked":
 		return parkedWorkload(o.parkedPop, concurrency, payload)
 	case "fleet":
@@ -310,7 +308,7 @@ func buildWorkload(mode string, o benchOpts) (workload, error) {
 			cleanup: remote.cleanup,
 		}, nil
 	default:
-		return workload{}, fmt.Errorf("unknown mode %q (want local, cabinet, remote, guarded, script, hop, durable, durable-naive, replicated, parked, fleet, fleet-lookup, fleet-converge, or mixed)", mode)
+		return workload{}, fmt.Errorf("unknown mode %q (want local, cabinet, remote, guarded, script, hop, durable, replicated, parked, fleet, fleet-lookup, fleet-converge, or mixed)", mode)
 	}
 }
 
@@ -430,7 +428,7 @@ func scriptWorkload(concurrency, payload int, src string) workload {
 // it records the site in its TRAIL, then jumps to the next HOPS entry. The
 // briefcase accretes one result per hop; CODE is restored before each jump
 // and SIG is frozen at launch, so both stay byte-identical across the whole
-// itinerary — the workload wire protocol v2's content-addressed deltas are
+// itinerary — the workload the wire protocol's content-addressed deltas are
 // built for.
 const hopScript = `
 set mission "multi-hop itinerary benchmark: record each station, then home"
@@ -518,14 +516,12 @@ const (
 // which appends the briefcase's 8-element WORK batch to the worker's
 // mailbox folder, records the visit, and drains the mailbox FIFO once it
 // exceeds 1k elements — all journaled, with one group-committed fdatasync
-// barrier per meet. naive switches the WAL to fsync-per-mutation, the
-// baseline the group-commit design exists to beat (see DESIGN.md § Durable
-// cabinets for the measured gap). replicated attaches a repl follower (its
-// own fdatasynced replica directory) shipping in the background, measuring
+// barrier per meet. replicated attaches a repl follower (its own
+// fdatasynced replica directory) shipping in the background, measuring
 // what WAL shipping costs the durable meet path — asynchronous shipping
 // means the answer should be "disk contention only", and the lane proves
 // or disproves that.
-func durableWorkload(payload int, naive, replicated bool) (workload, error) {
+func durableWorkload(payload int, replicated bool) (workload, error) {
 	dir, err := os.MkdirTemp("", "tacobench-wal-")
 	if err != nil {
 		return workload{}, err
@@ -554,7 +550,7 @@ func durableWorkload(payload int, naive, replicated bool) (workload, error) {
 
 	sys := tacoma.NewSystem(1, tacoma.SystemConfig{Seed: 1})
 	site := sys.SiteAt(0)
-	wal, err := tacoma.OpenWAL(dir, site.Cabinet(), tacoma.WALOptions{SyncEveryRecord: naive})
+	wal, err := tacoma.OpenWAL(dir, site.Cabinet(), tacoma.WALOptions{})
 	if err != nil {
 		os.RemoveAll(dir)
 		return workload{}, err

@@ -10,7 +10,7 @@ import (
 // Every workload must run and produce a sane measurement; this is what keeps
 // the CI bench job from discovering a broken generator only on main.
 func TestWorkloadsSmoke(t *testing.T) {
-	for _, mode := range []string{"local", "cabinet", "remote", "guarded", "script", "hop", "durable", "durable-naive", "mixed", "parked", "fleet", "fleet-lookup"} {
+	for _, mode := range []string{"local", "cabinet", "remote", "guarded", "script", "hop", "durable", "mixed", "parked", "fleet", "fleet-lookup"} {
 		t.Run(mode, func(t *testing.T) {
 			res, err := runMode(mode, benchOpts{
 				concurrency: 2, duration: 30 * time.Millisecond, payload: 16,

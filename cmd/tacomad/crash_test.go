@@ -245,38 +245,3 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-
-// TestFlushCabinetDurability: the atomic flush leaves no temp residue and
-// the renamed file is immediately loadable — the fsync-before-rename +
-// directory-fsync discipline at least keeps the happy path intact (the
-// crash half of the guarantee is the kernel's side of the contract).
-func TestFlushCabinetFsyncPath(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/cab.bin"
-	net := vnet.NewNetwork()
-	s := core.NewSite(net.AddNode("fsync-test"), core.SiteConfig{})
-	s.Cabinet().AppendString("K", "v")
-	if err := flushCabinet(s, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-	// Overwrite flush (rename over existing) must also succeed.
-	s.Cabinet().AppendString("K", "v2")
-	if err := flushCabinet(s, path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s2 := core.NewSite(net.AddNode("fsync-test-2"), core.SiteConfig{})
-	if err := s2.Cabinet().Load(f); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Cabinet().FolderLen("K") != 2 {
-		t.Fatalf("K has %d elements", s2.Cabinet().FolderLen("K"))
-	}
-}

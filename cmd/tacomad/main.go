@@ -39,7 +39,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -97,9 +96,7 @@ func main() {
 	site := flag.String("site", "site-0", "this site's name")
 	listen := flag.String("listen", "127.0.0.1:7100", "listen address")
 	maxSteps := flag.Int("max-steps", 1<<20, "TacL step budget per agent activation")
-	cabinetPath := flag.String("cabinet", "", "file to persist the site's file cabinet at shutdown (see -wal for crash durability)")
-	walDir := flag.String("wal", "", "write-ahead-log directory: every cabinet mutation is crash-durable, recovered on boot (recommended over -cabinet)")
-	flushInterval := flag.Duration("flush-interval", 0, "with -cabinet, also flush periodically at this interval (stopgap durability for non-WAL mode)")
+	walDir := flag.String("wal", "", "write-ahead-log directory: every cabinet mutation is crash-durable, recovered on boot (without it the cabinet is in-memory)")
 	var peers peerList
 	flag.Var(&peers, "peer", "peer site as name=host:port (repeatable)")
 
@@ -140,15 +137,6 @@ func main() {
 		}
 		ep.SetAuthKey(key)
 	}
-	if *walDir != "" && *cabinetPath != "" {
-		log.Fatalf("tacomad: -wal and -cabinet are alternative persistence modes; pick one")
-	}
-	if *flushInterval != 0 && *cabinetPath == "" {
-		log.Fatalf("tacomad: -flush-interval needs -cabinet")
-	}
-	if *flushInterval < 0 {
-		log.Fatalf("tacomad: -flush-interval must be positive, got %v", *flushInterval)
-	}
 	follower := *replicaOf != ""
 	if follower && *replicaListen != "" {
 		log.Fatalf("tacomad: -replica-of and -replica-listen are mutually exclusive (no chained replication)")
@@ -161,14 +149,12 @@ func main() {
 	}
 
 	// "File cabinets can be flushed to disk when permanence is required."
-	// -wal is the recommended mode: every mutation is crash-durable via the
-	// group-committed write-ahead log, and a restarted site replays
-	// snapshot + log tail and re-arms its rear guards. Recovery runs
-	// BEFORE the site exists: NewSite installs the network handler (calls
-	// are refused until then), so no boot-window meet can be served — and
-	// acknowledged — against a half-recovered, journal-less cabinet.
-	// -cabinet remains as the legacy whole-image mode (shutdown flush,
-	// optionally periodic).
+	// With -wal every mutation is crash-durable via the group-committed
+	// write-ahead log, and a restarted site replays snapshot + log tail
+	// and re-arms its rear guards. Recovery runs BEFORE the site exists:
+	// NewSite installs the network handler (calls are refused until then),
+	// so no boot-window meet can be served — and acknowledged — against a
+	// half-recovered, journal-less cabinet.
 	// A sticky sync failure means durability is gone for good (the WAL
 	// refuses further commits); say so the moment it happens, loudly, not
 	// just as an error on whichever meet next hits the Sync path.
@@ -220,51 +206,6 @@ func main() {
 		parked := s.RecoverParked()
 		log.Printf("tacomad: WAL %s recovered (%d folders, %d rear guards re-armed, %d parked agents re-registered)",
 			*walDir, s.Cabinet().Len(), guards, parked)
-	}
-	if *cabinetPath != "" {
-		if f, err := os.Open(*cabinetPath); err == nil {
-			if err := s.Cabinet().Load(f); err != nil {
-				log.Fatalf("tacomad: load cabinet %s: %v", *cabinetPath, err)
-			}
-			f.Close()
-			// A flushed image can hold rear-guard checkpoints too (they
-			// live in ordinary cabinet folders); re-arm them just as the
-			// WAL path does. Whole-image staleness applies here like it
-			// does to every other folder in the image: a guard released
-			// after the last flush is resurrected and may relaunch a
-			// finished computation (the per-computation hop marks
-			// deduplicate re-execution where they survived). -wal has no
-			// such window.
-			guards := rgm.Recover()
-			parked := s.RecoverParked()
-			log.Printf("tacomad: restored cabinet from %s (%d folders, %d rear guards re-armed, %d parked agents re-registered)",
-				*cabinetPath, s.Cabinet().Len(), guards, parked)
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("tacomad: open cabinet %s: %v", *cabinetPath, err)
-		}
-	}
-
-	// Periodic stopgap flushes for non-WAL mode: bounded loss instead of
-	// total loss when the process dies without a graceful signal.
-	var flushWG sync.WaitGroup
-	stopFlush := make(chan struct{})
-	if *flushInterval > 0 {
-		flushWG.Add(1)
-		go func() {
-			defer flushWG.Done()
-			t := time.NewTicker(*flushInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopFlush:
-					return
-				case <-t.C:
-					if err := flushCabinet(s, *cabinetPath); err != nil {
-						log.Printf("tacomad: periodic flush: %v", err)
-					}
-				}
-			}
-		}()
 	}
 
 	for _, p := range peers {
@@ -452,21 +393,11 @@ func main() {
 			log.Printf("tacomad: close replica: %v", err)
 		}
 	}
-	close(stopFlush)
-	flushWG.Wait()
-
 	if wal != nil {
 		if err := wal.Close(); err != nil {
 			log.Printf("tacomad: close WAL: %v", err)
 		} else {
 			log.Printf("tacomad: WAL %s synced", *walDir)
-		}
-	}
-	if *cabinetPath != "" {
-		if err := flushCabinet(s, *cabinetPath); err != nil {
-			log.Printf("tacomad: shutdown flush: %v", err)
-		} else {
-			log.Printf("tacomad: cabinet flushed to %s", *cabinetPath)
 		}
 	}
 }
@@ -500,24 +431,4 @@ func buildGuard(firewall, requireCash bool, meterSteps int, activationFee int64,
 		g.Meter = guard.NewMeter(meterSteps, activationFee)
 	}
 	return g, nil
-}
-
-// flushMu serializes flushCabinet calls: the periodic flusher and the
-// shutdown flush share one temp-file path.
-var flushMu sync.Mutex
-
-// flushCabinet writes the cabinet atomically and durably via the store
-// engine's shared temp-file + fsync + rename + directory-fsync discipline.
-// Without the fsyncs the atomic-rename intent is hollow — a crash shortly
-// after rename can surface an empty target (data never flushed) or no
-// target at all (rename never journaled).
-func flushCabinet(s *core.Site, path string) error {
-	flushMu.Lock()
-	defer flushMu.Unlock()
-	if err := store.WriteFileAtomic(path, true, func(w io.Writer) error {
-		return s.Cabinet().Flush(w)
-	}); err != nil {
-		return fmt.Errorf("flush cabinet: %w", err)
-	}
-	return nil
 }

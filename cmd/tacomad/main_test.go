@@ -1,12 +1,13 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
-	"path/filepath"
+	"os/exec"
+	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/vnet"
+	"time"
 )
 
 func TestPeerListSet(t *testing.T) {
@@ -28,35 +29,18 @@ func TestPeerListSet(t *testing.T) {
 	}
 }
 
-func TestFlushCabinetRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cabinet.bin")
-
-	net := vnet.NewNetwork()
-	s := core.NewSite(net.AddNode("persist-test"), core.SiteConfig{})
-	s.Cabinet().AppendString("MBOX:alice", "a message")
-	s.Cabinet().AppendString("VISITED", "roamer-1")
-	if err := flushCabinet(s, path); err != nil {
-		t.Fatal(err)
-	}
-	// No .tmp residue after an atomic flush.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-
-	s2 := core.NewSite(net.AddNode("persist-test-2"), core.SiteConfig{})
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := s2.Cabinet().Load(f); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Cabinet().ContainsString("MBOX:alice", "a message") {
-		t.Fatal("mailbox lost across flush/load")
-	}
-	if !s2.Cabinet().ContainsString("VISITED", "roamer-1") {
-		t.Fatal("visit marks lost across flush/load")
+// TestCabinetFlagRejected: snapshot-file persistence is gone, so -cabinet
+// is unknown to the flag package rather than silently accepted.
+func TestCabinetFlagRejected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(),
+		"TACOMAD_CHILD=1",
+		"TACOMAD_ARGS="+strings.Join([]string{"-listen", "127.0.0.1:0", "-cabinet", "x"}, "\x1f"))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() <= 0 || !strings.Contains(string(out), "flag provided but not defined") {
+		t.Fatalf("tacomad -cabinet x: err=%v output=%q, want a non-zero exit on an undefined flag", err, out)
 	}
 }

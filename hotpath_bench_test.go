@@ -213,19 +213,16 @@ func benchRemoteMeetTCP(b *testing.B) {
 // BenchmarkDurableMeet quantifies the durability tax and the group-commit
 // win (see DESIGN.md § Durable cabinets). A meet appends one element to a
 // worker-private cabinet folder and marks the visit; the sub-benchmarks run
-// it with no WAL (the in-memory ceiling), with the group-committed WAL (one
-// shared fdatasync per batch of concurrent meets), and with the naive
-// fsync-per-mutation WAL the group commit is measured against. Runs with
-// exactly 8 concurrent workers: group commit is a concurrency phenomenon.
+// it with no WAL (the in-memory ceiling) and with the group-committed WAL
+// (one shared fdatasync per batch of concurrent meets). Runs with exactly 8
+// concurrent workers: group commit is a concurrency phenomenon.
 func BenchmarkDurableMeet(b *testing.B) {
-	for _, mode := range []string{"off", "group", "naive"} {
+	for _, mode := range []string{"off", "group"} {
 		b.Run("wal="+mode, func(b *testing.B) {
 			sys := core.NewSystem(1, core.SystemConfig{Seed: 7})
 			s := sys.SiteAt(0)
 			if mode != "off" {
-				wal, err := store.Open(b.TempDir(), s.Cabinet(), store.Options{
-					SyncEveryRecord: mode == "naive",
-				})
+				wal, err := store.Open(b.TempDir(), s.Cabinet(), store.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -233,19 +233,21 @@ func TestRegisterUnregisterLookup(t *testing.T) {
 func TestMeetRequestWireRoundTrip(t *testing.T) {
 	bc := folder.NewBriefcase()
 	bc.PutString("K", "v")
-	data := appendMeetRequest(nil, "agent-x", "site-origin", bc)
-	agent, origin, got, err := decodeMeetRequest(data)
-	if err != nil {
-		t.Fatal(err)
+	data := appendMeetRequest(nil, "agent-x", "site-origin", bc, folder.NewDeltaCache(0), nil, nil, nil)
+	agent, origin, got, missing, err := decodeMeetRequest(data, noRefs, nil)
+	if err != nil || len(missing) > 0 {
+		t.Fatalf("err=%v missing=%d", err, len(missing))
 	}
 	if agent != "agent-x" || origin != "site-origin" || !got.Equal(bc) {
 		t.Fatalf("round trip: %q %q %v", agent, origin, got)
 	}
 }
 
+func noRefs(folder.Hash) ([]byte, bool) { return nil, false }
+
 func TestMeetRequestDecodeErrors(t *testing.T) {
 	for _, data := range [][]byte{{}, {0x05, 'a'}, {0x01, 'a', 0x01, 'b', 0xFF}} {
-		if _, _, _, err := decodeMeetRequest(data); err == nil {
+		if _, _, _, _, err := decodeMeetRequest(data, noRefs, nil); err == nil {
 			t.Errorf("decodeMeetRequest(%v) succeeded", data)
 		}
 	}

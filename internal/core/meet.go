@@ -165,11 +165,10 @@ func (s *Site) MeetClient(ctx context.Context, agent string, bc *folder.Briefcas
 // wraps; it remains so pre-redesign callers keep compiling and behaving
 // unchanged.
 //
-// The briefcase travels in the v2 delta format (see wire.go): folders the
+// The briefcase travels in the delta format (see wire.go): folders the
 // peer already holds ship as content refs instead of bytes, so a signed
 // multi-hop agent stops re-shipping its own code after the first hop over
-// a link. A peer that answers "unknown message kind" is remembered as
-// v1-only and served the legacy format from then on.
+// a link.
 func (s *Site) RemoteMeet(ctx context.Context, dest vnet.SiteID, agent string, bc *folder.Briefcase) error {
 	return s.remoteMeet(ctx, dest, agent, bc)
 }

@@ -2,12 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/folder"
-	"repro/internal/vnet"
 )
 
 // bigFolder returns a folder whose canonical encoding is comfortably over
@@ -20,9 +19,9 @@ func bigFolder(fill byte, n int) *folder.Folder {
 	return folder.Of(e)
 }
 
-// TestRemoteMeetDeltaRoundTrip proves the v2 path is transparent: the
-// briefcase a remote meet folds back is identical to what v1 would have
-// produced, and a repeat meet with unchanged large folders ships refs.
+// TestRemoteMeetDeltaRoundTrip proves the delta framing is transparent:
+// the briefcase a remote meet folds back carries every folder unchanged,
+// and a repeat meet with unchanged large folders ships refs.
 func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 	sys := testSystem(t, 2)
 	a, b := sys.SiteAt(0), sys.SiteAt(1)
@@ -46,7 +45,7 @@ func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 		t.Fatal("BLOB changed in transit")
 	}
 	st := a.WireStats()
-	if st.MeetsV2 != 1 || st.MeetsV1 != 0 {
+	if st.MeetsV2 != 1 {
 		t.Fatalf("stats after first meet: %+v", st)
 	}
 	if st.RefFolders != 0 {
@@ -109,105 +108,35 @@ func TestRemoteMeetDeltaMissRecovers(t *testing.T) {
 	}
 }
 
-// TestCrossVersionV1CallerServedByV2Site hand-frames a legacy "meet"
-// request — what a seed-era binary sends — against a current site.
-func TestCrossVersionV1CallerServedByV2Site(t *testing.T) {
+// TestLegacyMeetKindRefused hand-frames a whole-briefcase "meet" request —
+// what a seed-era binary sent — against a current site: the kind is
+// unknown, so nothing is decoded and no agent runs.
+func TestLegacyMeetKindRefused(t *testing.T) {
 	sys := testSystem(t, 2)
 	b := sys.SiteAt(1)
+	ran := false
 	b.Register("echo", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
-		v, _ := bc.GetString("IN")
-		bc.PutString("OUT", "echo:"+v)
+		ran = true
 		return nil
 	}))
 
 	bc := folder.NewBriefcase()
 	bc.PutString("IN", "legacy")
-	payload := appendMeetRequest(nil, "echo", "site-0", bc)
-	node := sys.Net.Node("site-0")
-	resp, err := node.Call(context.Background(), b.ID(), msgMeet, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := folder.DecodeBriefcase(resp)
-	if err != nil {
-		t.Fatalf("v1 caller got a non-v1 reply: %v", err)
-	}
-	if got, _ := out.GetString("OUT"); got != "echo:legacy" {
-		t.Fatalf("OUT = %q", got)
-	}
-}
+	payload := binary.AppendUvarint(nil, uint64(len("echo")))
+	payload = append(payload, "echo"...)
+	payload = binary.AppendUvarint(payload, uint64(len("site-0")))
+	payload = append(payload, "site-0"...)
+	payload = folder.AppendBriefcase(payload, bc)
 
-// TestCrossVersionV2CallerFallsBackToV1Site points a current site at a
-// seed-era peer (a raw endpoint speaking only "meet"); the first remote
-// meet must negotiate down transparently and subsequent meets must skip
-// straight to the legacy frame.
-func TestCrossVersionV2CallerFallsBackToV1Site(t *testing.T) {
-	net := vnet.NewNetwork(vnet.WithCallTimeout(50 * time.Millisecond))
-	a := NewSite(net.AddNode("modern"), SiteConfig{})
-	legacy := net.AddNode("legacy")
-	// A faithful v1 site: serves "meet" with whole-briefcase framing and
-	// answers everything else exactly as the seed kernel did.
-	legacy.SetHandler(func(from vnet.SiteID, kind string, payload []byte) ([]byte, error) {
-		if kind != msgMeet {
-			return nil, fmtErrorfUnknownKind("legacy", kind)
-		}
-		agent, origin, bc, err := decodeMeetRequest(payload)
-		if err != nil {
-			return nil, err
-		}
-		_ = agent
-		bc.PutString("SERVED_BY", "legacy for "+origin)
-		return folder.EncodeBriefcase(bc), nil
-	})
-
-	bc := folder.NewBriefcase()
-	bc.Put("BLOB", bigFolder('z', 300))
-	for i := 0; i < 2; i++ {
-		if err := a.RemoteMeet(context.Background(), "legacy", "anything", bc); err != nil {
-			t.Fatalf("meet %d: %v", i, err)
-		}
+	before := b.Activations()
+	_, err := sys.Net.Node("site-0").Call(context.Background(), b.ID(), "meet", payload)
+	if err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+		t.Fatalf("err = %v, want unknown message kind", err)
 	}
-	if got, _ := bc.GetString("SERVED_BY"); got != "legacy for modern" {
-		t.Fatalf("SERVED_BY = %q", got)
-	}
-	st := a.WireStats()
-	if st.LegacyPeerFallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", st.LegacyPeerFallbacks)
-	}
-	if st.MeetsV2 != 1 || st.MeetsV1 != 2 {
-		t.Fatalf("protocol mix = v2:%d v1:%d, want one v2 probe then v1 only", st.MeetsV2, st.MeetsV1)
+	if ran || b.Activations() != before {
+		t.Fatalf("legacy frame ran an agent (ran=%v, activations %d → %d)", ran, before, b.Activations())
 	}
 }
-
-// fmtErrorfUnknownKind reproduces the seed kernel's unknown-kind error
-// text, which the fallback negotiation keys on.
-func fmtErrorfUnknownKind(site, kind string) error {
-	return &unknownKindErr{site: site, kind: kind}
-}
-
-type unknownKindErr struct{ site, kind string }
-
-func (e *unknownKindErr) Error() string {
-	return "core: site " + e.site + ": unknown message kind \"" + e.kind + "\""
-}
-
-// TestFallbackMatchIsPeerScoped: an inner itinerary failure mentioning
-// another site's unknown-kind refusal must not demote the outer peer.
-func TestFallbackMatchIsPeerScoped(t *testing.T) {
-	err := fmtErrorfUnknownKind("site-c", msgMeet2)
-	if isUnknownKind(wrapAs("core: remote meet x at site-b: "+err.Error()), "site-b") {
-		t.Fatal("inner site-c refusal demoted site-b")
-	}
-	if !isUnknownKind(wrapAs("core: remote meet x at site-b: core: site site-b: unknown message kind \"meet2\""), "site-b") {
-		t.Fatal("genuine site-b refusal not detected")
-	}
-}
-
-func wrapAs(s string) error { return &strErr{s} }
-
-type strErr struct{ s string }
-
-func (e *strErr) Error() string { return e.s }
 
 // TestDeltaFoldersDecodeIdentical pins the codec equivalence the delta path
 // rests on: a delta encode/decode round trip (cold cache and warm cache)
@@ -231,15 +160,5 @@ func TestDeltaFoldersDecodeIdentical(t *testing.T) {
 		if !bc.Equal(got) {
 			t.Fatalf("round %d: delta round trip changed briefcase", round)
 		}
-	}
-}
-
-func init() {
-	// Guard against the unknown-kind error text drifting away from what
-	// isUnknownKind matches: the negotiation would silently break, failing
-	// every meet to a v1 peer instead of falling back.
-	err := fmtErrorfUnknownKind("x", msgMeet2)
-	if !strings.Contains(err.Error(), "unknown message kind") {
-		panic("unknown-kind error text mismatch")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Content-addressed folder deltas (wire protocol v2).
+// Content-addressed folder deltas (the meet wire protocol).
 //
 // Folder elements are immutable and frozen folders are immutable wholesale,
 // so a folder's canonical encoding identifies its contents forever. The

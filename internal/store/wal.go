@@ -22,11 +22,6 @@ var ErrWALClosed = errors.New("store: wal closed")
 
 // Options tunes a WAL.
 type Options struct {
-	// SyncEveryRecord makes every recorded mutation write + fdatasync
-	// inline before the mutation returns — the naive fsync-per-mutation
-	// baseline. It exists to quantify the group-commit gap (the tacobench
-	// durable-naive lane); production use wants the default group commit.
-	SyncEveryRecord bool
 	// NoSync skips fdatasync entirely (records are still written). For
 	// tests that exercise log structure without paying disk latency;
 	// provides no crash durability.
@@ -367,32 +362,12 @@ func (w *WAL) RecordLoad(enc []byte) {
 	w.sealRecordLocked(start) // unlocks
 }
 
-// sealRecordLocked finishes the framed record started at start, assigns its
-// sequence number, and — in naive mode — syncs it inline. Releases w.mu.
+// sealRecordLocked finishes the framed record started at start and assigns
+// its sequence number. Releases w.mu.
 func (w *WAL) sealRecordLocked(start int) {
 	finishRecord(w.buf, start)
 	w.seq++
 	w.stRecords.Add(1)
-	if w.opt.SyncEveryRecord && w.err == nil {
-		// The naive baseline: one unconditional write + fdatasync per
-		// record, serialized — even when a concurrent flush already wrote
-		// these bytes, exactly as fsync-per-mutation code behaves. No
-		// gather, no sharing; this is the mode group commit is measured
-		// against.
-		for w.syncing {
-			w.cond.Wait()
-		}
-		// Re-check after the wait: a Close that won the wakeup race has
-		// already synced this record in its final cycle and nilled the
-		// segment file — flushing here would poison the WAL with a
-		// spurious EBADF.
-		if w.usableLocked() {
-			w.syncing = true
-			w.flushLocked()
-			w.syncing = false
-			w.cond.Broadcast()
-		}
-	}
 	w.mu.Unlock()
 }
 

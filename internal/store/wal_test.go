@@ -150,28 +150,6 @@ func TestGroupCommitBatches(t *testing.T) {
 		st.Records, st.Syncs, float64(st.Records)/float64(st.Syncs))
 }
 
-// TestNaiveSyncEveryRecord: the comparison mode is durable at record
-// granularity without any barrier call.
-func TestNaiveSyncEveryRecord(t *testing.T) {
-	dir := t.TempDir()
-	cab, w := openTemp(t, dir, Options{SyncEveryRecord: true})
-	cab.AppendString("N", "r1")
-	cab.AppendString("N", "r2")
-	st := w.Stats()
-	if st.Syncs < 2 {
-		t.Fatalf("naive mode issued %d syncs for 2 records", st.Syncs)
-	}
-	// Durable without Sync or graceful Close: recover from the raw files.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, cab2, w2 := reopen(t, dir)
-	defer w2.Close()
-	if cab2.FolderLen("N") != 2 {
-		t.Fatalf("N has %d elements after recovery", cab2.FolderLen("N"))
-	}
-}
-
 func TestSyncCleanIsFree(t *testing.T) {
 	dir := t.TempDir()
 	_, w := openTemp(t, dir, Options{})
@@ -515,9 +493,9 @@ func TestSnapshotGapRefused(t *testing.T) {
 }
 
 // TestBatchHistogram pins the records-per-fdatasync distribution Stats
-// exposes: one Sync over N pending records is a single barrier of N, and
-// SyncEveryRecord commits every record as a batch of one. NoSync keeps the
-// test off disk latency — the histogram counts barriers, not syscalls.
+// exposes: one Sync over N pending records is a single barrier of N. NoSync
+// keeps the test off disk latency — the histogram counts barriers, not
+// syscalls.
 func TestBatchHistogram(t *testing.T) {
 	dir := t.TempDir()
 	cab, w := openTemp(t, dir, Options{NoSync: true})
@@ -542,19 +520,6 @@ func TestBatchHistogram(t *testing.T) {
 		t.Errorf("FormatBatchHist = %q, want \"5-8:1\"", s)
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir2 := t.TempDir()
-	cab2, w2 := openTemp(t, dir2, Options{SyncEveryRecord: true, NoSync: true})
-	for i := 0; i < 3; i++ {
-		cab2.AppendString("K", "x")
-	}
-	st2 := w2.Stats()
-	if got := st2.BatchHist[batchBucket(1)]; got != 3 {
-		t.Errorf("naive batch-of-1 bucket = %d, want 3 (hist %v)", got, st2.BatchHist)
-	}
-	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

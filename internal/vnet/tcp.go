@@ -56,10 +56,6 @@ var ErrAuth = errors.New("vnet: authentication failed")
 // replayed against a later call. An endpoint with a key refuses plain 'q'
 // frames and requests whose MAC does not verify — this is the firewall
 // handshake at the transport layer, below the site-level briefcase checks.
-//
-// The server side also still accepts the legacy single-shot 'Q'/'A' frames
-// (one request, one 'R'/'S' response) used by older clients and by
-// hand-crafted probes; they share the same auth rules.
 type TCPEndpoint struct {
 	id          SiteID
 	incarnation int64
@@ -502,14 +498,13 @@ func (ep *TCPEndpoint) acceptLoop() {
 
 // request is one decoded inbound request frame.
 type request struct {
-	pipelined bool // 'q'/'a' (id-tagged, stream stays open) vs legacy 'Q'/'A'
-	authed    bool // 'a'/'A'
-	id        uint64
-	from      []byte
-	nonce     []byte
-	kind      []byte
-	payload   []byte
-	mac       []byte
+	authed  bool // 'a'
+	id      uint64
+	from    []byte
+	nonce   []byte
+	kind    []byte
+	payload []byte
+	mac     []byte
 }
 
 // readRequest parses one request frame, returning io.EOF-ish errors when the
@@ -521,38 +516,31 @@ func readRequest(r *bufio.Reader) (*request, error) {
 	}
 	req := &request{}
 	switch tag {
-	case 'Q':
-	case 'A':
-		req.authed = true
 	case 'q':
-		req.pipelined = true
 	case 'a':
-		req.pipelined = true
 		req.authed = true
 	default:
 		return nil, fmt.Errorf("vnet: unknown frame tag %q", tag)
 	}
-	if req.pipelined {
-		if req.id, err = binary.ReadUvarint(r); err != nil {
-			return nil, err
-		}
+	if req.id, err = binary.ReadUvarint(r); err != nil {
+		return nil, err
 	}
-	if req.from, err = readChunk(r); err != nil {
+	if req.from, err = readChunk(r, maxNameChunk); err != nil {
 		return nil, err
 	}
 	if req.authed {
-		if req.nonce, err = readChunk(r); err != nil {
+		if req.nonce, err = readChunk(r, maxTagChunk); err != nil {
 			return nil, err
 		}
 	}
-	if req.kind, err = readChunk(r); err != nil {
+	if req.kind, err = readChunk(r, maxNameChunk); err != nil {
 		return nil, err
 	}
-	if req.payload, err = readChunk(r); err != nil {
+	if req.payload, err = readChunk(r, maxPayloadChunk); err != nil {
 		return nil, err
 	}
 	if req.authed {
-		if req.mac, err = readChunk(r); err != nil {
+		if req.mac, err = readChunk(r, maxTagChunk); err != nil {
 			return nil, err
 		}
 	}
@@ -560,10 +548,9 @@ func readRequest(r *bufio.Reader) (*request, error) {
 }
 
 // serveConn serves one inbound connection: a loop over request frames.
-// Legacy clients send a single frame and close; pipelined clients keep the
-// stream open and may have several requests outstanding, each answered —
-// possibly out of order — through the connection's coalescing writer, so
-// responses that finish together leave in one flush.
+// Clients keep the stream open and may have several requests outstanding,
+// each answered — possibly out of order — through the connection's
+// coalescing writer, so responses that finish together leave in one flush.
 func (ep *TCPEndpoint) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	// A response write error means the client is gone (or stopped reading
@@ -576,20 +563,16 @@ func (ep *TCPEndpoint) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if req.pipelined {
-			// Pipelined requests are served concurrently: a slow meet must
-			// not head-of-line-block the responses of later requests on the
-			// same stream.
-			handlers.Add(1)
-			ep.wg.Add(1)
-			go func() {
-				defer handlers.Done()
-				defer ep.wg.Done()
-				ep.serveRequest(req, cw)
-			}()
-			continue
-		}
-		ep.serveRequest(req, cw)
+		// Requests are served concurrently: a slow meet must not
+		// head-of-line-block the responses of later requests on the same
+		// stream.
+		handlers.Add(1)
+		ep.wg.Add(1)
+		go func() {
+			defer handlers.Done()
+			defer ep.wg.Done()
+			ep.serveRequest(req, cw)
+		}()
 	}
 }
 
@@ -610,7 +593,7 @@ func (ep *TCPEndpoint) serveRequest(req *request, cw *connWriter) {
 		status, resp = 1, []byte(fmt.Sprintf("site %s requires authentication", ep.id))
 	case key == nil && req.authed:
 		status, resp = 1, []byte(fmt.Sprintf("site %s does not accept authenticated frames", ep.id))
-	case key != nil && !hmac.Equal(req.mac, ep.requestMAC(key, req)):
+	case key != nil && !hmac.Equal(req.mac, frameMAC(key, "preq", uvarintBytes(req.id), req.from, req.nonce, req.kind, req.payload)):
 		status, resp = 1, []byte(fmt.Sprintf("site %s: request authentication failed", ep.id))
 	case key != nil && !ep.nonceFresh(req.nonce):
 		status, resp = 1, []byte(fmt.Sprintf("site %s: replayed request refused", ep.id))
@@ -625,35 +608,19 @@ func (ep *TCPEndpoint) serveRequest(req *request, cw *connWriter) {
 	}
 
 	buf := getFrame()
-	switch {
-	case req.pipelined && req.authed && key != nil:
+	if req.authed && key != nil {
 		buf = append(buf, 's')
 		buf = binary.AppendUvarint(buf, req.id)
 		buf = append(buf, status)
 		buf = appendChunk(buf, resp)
 		buf = appendChunk(buf, frameMAC(key, "presp", uvarintBytes(req.id), req.nonce, []byte{status}, resp))
-	case req.pipelined:
+	} else {
 		buf = append(buf, 'r')
 		buf = binary.AppendUvarint(buf, req.id)
 		buf = append(buf, status)
 		buf = appendChunk(buf, resp)
-	case req.authed && key != nil:
-		buf = append(buf, 'S', status)
-		buf = appendChunk(buf, resp)
-		buf = appendChunk(buf, frameMAC(key, "resp", req.nonce, []byte{status}, resp))
-	default:
-		buf = append(buf, 'R', status)
-		buf = appendChunk(buf, resp)
 	}
 	cw.enqueue(buf, nil, time.Time{})
-}
-
-// requestMAC computes the expected MAC for an inbound authenticated request.
-func (ep *TCPEndpoint) requestMAC(key []byte, req *request) []byte {
-	if req.pipelined {
-		return frameMAC(key, "preq", uvarintBytes(req.id), req.from, req.nonce, req.kind, req.payload)
-	}
-	return frameMAC(key, "req", req.from, req.nonce, req.kind, req.payload)
 }
 
 // rpcResult is one demultiplexed response frame (or a connection error).
@@ -750,14 +717,14 @@ func (pc *peerConn) readLoop() {
 			pc.fail(fmt.Errorf("%w: bad response status: %v", ErrTimeout, err))
 			return
 		}
-		body, err := readChunk(r)
+		body, err := readChunk(r, maxPayloadChunk)
 		if err != nil {
 			pc.fail(fmt.Errorf("%w: bad response body: %v", ErrTimeout, err))
 			return
 		}
 		res := rpcResult{authed: tag == 's', status: status, body: body}
 		if res.authed {
-			if res.mac, err = readChunk(r); err != nil {
+			if res.mac, err = readChunk(r, maxTagChunk); err != nil {
 				pc.fail(fmt.Errorf("%w: bad response mac: %v", ErrTimeout, err))
 				return
 			}
@@ -1007,14 +974,22 @@ func (ep *TCPEndpoint) callOnce(ctx context.Context, to SiteID, kind string, pay
 	}
 }
 
-func readChunk(r *bufio.Reader) ([]byte, error) {
+// Chunk caps. readChunk allocates a chunk's announced length before any of
+// its bytes arrive, so on an open endpoint the cap is what a few header
+// bytes can make the server allocate: only the payload gets a large one.
+const (
+	maxNameChunk    = 256      // site id, message kind
+	maxTagChunk     = 64       // nonce, MAC
+	maxPayloadChunk = 64 << 20 // refuse absurd frames rather than OOM
+)
+
+func readChunk(r *bufio.Reader, limit uint64) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	const maxChunk = 64 << 20 // refuse absurd frames rather than OOM
-	if n > maxChunk {
-		return nil, fmt.Errorf("vnet: chunk of %d bytes exceeds limit", n)
+	if n > limit {
+		return nil, fmt.Errorf("vnet: chunk of %d bytes exceeds limit %d", n, limit)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -113,14 +113,15 @@ func TestTCPAuthReplayRejected(t *testing.T) {
 
 	// Hand-build one authenticated frame and send the identical bytes
 	// twice — a recorded-and-replayed request.
+	const id = 7 // below 0x80, so the byte is its own uvarint
 	frame := func() []byte {
 		nonce := []byte("0123456789abcdef")
-		buf := []byte{'A'}
+		buf := []byte{'a', id}
 		buf = appendChunk(buf, []byte("a"))
 		buf = appendChunk(buf, nonce)
 		buf = appendChunk(buf, []byte("k"))
 		buf = appendChunk(buf, []byte("payload"))
-		buf = appendChunk(buf, frameMAC(secret, "req", []byte("a"), nonce, []byte("k"), []byte("payload")))
+		buf = appendChunk(buf, frameMAC(secret, "preq", []byte{id}, []byte("a"), nonce, []byte("k"), []byte("payload")))
 		return buf
 	}()
 	send := func() (byte, string) {
@@ -133,14 +134,17 @@ func TestTCPAuthReplayRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(conn)
-		if tag, err := r.ReadByte(); err != nil || tag != 'S' {
+		if tag, err := r.ReadByte(); err != nil || tag != 's' {
 			t.Fatalf("tag %q err %v", tag, err)
+		}
+		if got, err := r.ReadByte(); err != nil || got != id {
+			t.Fatalf("id %d err %v", got, err)
 		}
 		status, err := r.ReadByte()
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := readChunk(r)
+		body, err := readChunk(r, maxPayloadChunk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,13 @@ package vnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,6 +30,46 @@ func tcpPair(t *testing.T) (*TCPEndpoint, *TCPEndpoint) {
 	a.SetHandler(echoHandler)
 	b.SetHandler(echoHandler)
 	return a, b
+}
+
+// TestTCPRefusedFramesCloseBeforeHandler: frames the reader does not
+// accept — the retired single-shot 'Q' tag, and fixed-shape fields
+// announcing more than their cap (the 32 MiB kind arrives as a 5-byte
+// header; the server must not allocate it and wait) — close the connection
+// with no reply, before the handler runs.
+func TestTCPRefusedFramesCloseBeforeHandler(t *testing.T) {
+	singleShot := []byte{'Q'}
+	for _, chunk := range []string{"a", "k", "payload"} {
+		singleShot = appendChunkString(singleShot, chunk)
+	}
+	hugeKind := appendChunkString([]byte{'q', 1}, "a")
+	hugeKind = binary.AppendUvarint(hugeKind, 32<<20)
+
+	for name, frame := range map[string][]byte{"single-shot Q": singleShot, "32 MiB kind": hugeKind} {
+		t.Run(name, func(t *testing.T) {
+			_, b := tcpPair(t)
+			var called atomic.Bool
+			b.SetHandler(func(SiteID, string, []byte) ([]byte, error) {
+				called.Store(true)
+				return nil, nil
+			})
+			conn, err := net.Dial("tcp", b.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if reply, err := io.ReadAll(conn); err != nil || len(reply) > 0 {
+				t.Fatalf("want the connection closed with no reply, got %q err %v", reply, err)
+			}
+			if called.Load() {
+				t.Fatal("handler ran")
+			}
+		})
+	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {

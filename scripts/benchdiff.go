@@ -4,7 +4,7 @@
 // baseline on the left and the freshly measured report on the right:
 //
 //	go run ./scripts/benchdiff.go [-threshold 0.15] [-p99-threshold 0.25] \
-//	    [-allocs-threshold 0.20] [-ungated durable,durable-naive] \
+//	    [-allocs-threshold 0.20] [-ungated durable,replicated] \
 //	    BENCH_meet.json /tmp/BENCH_new.json
 //
 // Exit status 0 when every baseline benchmark is present in the new report,
