@@ -256,7 +256,9 @@ type WireStats struct {
 	// Misses counts miss round trips (a ref the peer could not resolve).
 	Misses int64
 	// FullFolders/FullBytes count delta-eligible folders (and their
-	// canonical bytes) this site shipped in full, in either direction.
+	// canonical bytes) this site shipped in full, in either direction:
+	// folder.EntryFull (a mutable folder's first sight on the link) and
+	// folder.EntryFullCached entries alike.
 	FullFolders, FullBytes int64
 	// RefFolders/RefSavedBytes count folders shipped as 32-byte refs and
 	// the canonical bytes that therefore did not cross the wire.
@@ -280,7 +282,8 @@ func (s *Site) WireStats() WireStats {
 }
 
 // SetWireRecorder installs a hook observing every delta-eligible folder
-// entry this site encodes (requests and replies): tag is
+// entry this site encodes (requests and replies): tag is folder.EntryFull
+// (an un-memoized folder the link has not carried before),
 // folder.EntryFullCached or folder.EntryRef, n the canonical encoding size
 // the entry represents. Tests use it to prove an itinerary ships SIG bytes
 // only on the first hop. Pass nil to remove.

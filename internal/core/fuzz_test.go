@@ -48,6 +48,9 @@ func FuzzServeMeet2(f *testing.F) {
 			}
 			lookup = tx.Get
 		}
+		// Ship once first: a large folder's first sight goes unhashed, and
+		// the seeds want the cacheable and ref-bearing entries of later ones.
+		appendMeetRequest(nil, agent, string(peer), bc, tx, nil, nil, nil)
 		return appendMeetRequest(nil, agent, string(peer), bc, tx, lookup, nil, nil)
 	}
 	// The hand-written hostile cases of TestMeetRequestDecodeErrors ...

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/folder"
+	"repro/internal/vnet"
 )
 
 // bigFolder returns a folder whose canonical encoding is comfortably over
@@ -20,8 +21,9 @@ func bigFolder(fill byte, n int) *folder.Folder {
 }
 
 // TestRemoteMeetDeltaRoundTrip proves the delta framing is transparent:
-// the briefcase a remote meet folds back carries every folder unchanged,
-// and a repeat meet with unchanged large folders ships refs.
+// the briefcase a remote meet folds back carries every folder unchanged. A
+// frozen folder ships as a ref from its second meet; a mutable one is
+// content-addressed on its second trip over the link and refs from its third.
 func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 	sys := testSystem(t, 2)
 	a, b := sys.SiteAt(0), sys.SiteAt(1)
@@ -35,38 +37,41 @@ func TestRemoteMeetDeltaRoundTrip(t *testing.T) {
 	bc.Put("FROZEN", bigFolder('f', 300).Freeze())
 	bc.PutString("TINY", "below threshold")
 
-	if err := a.RemoteMeet(context.Background(), b.ID(), "stamp", bc); err != nil {
-		t.Fatal(err)
+	meet := func() WireStats {
+		t.Helper()
+		if err := a.RemoteMeet(context.Background(), b.ID(), "stamp", bc); err != nil {
+			t.Fatal(err)
+		}
+		return a.WireStats()
 	}
+	st := meet()
 	if got, _ := bc.GetString(folder.ResultFolder); got != "stamped at site-1" {
 		t.Fatalf("RESULT = %q", got)
 	}
 	if got, _ := bc.Folder("BLOB"); !got.Equal(bigFolder('x', 500)) {
 		t.Fatal("BLOB changed in transit")
 	}
-	st := a.WireStats()
-	if st.MeetsV2 != 1 {
-		t.Fatalf("stats after first meet: %+v", st)
+	if st.MeetsV2 != 1 || st.RefFolders != 0 || st.FullFolders != 2 {
+		t.Fatalf("first meet: want BLOB and FROZEN full, no refs: %+v", st)
 	}
-	if st.RefFolders != 0 {
-		t.Fatalf("first meet shipped refs with a cold cache: %+v", st)
-	}
-	firstFull := st.FullFolders
 
-	// Second meet: BLOB and FROZEN are unchanged → both go as refs, in the
-	// request and in the reply.
-	if err := a.RemoteMeet(context.Background(), b.ID(), "stamp", bc); err != nil {
-		t.Fatal(err)
+	// Second meet: FROZEN refs; BLOB is on its second sight and ships as
+	// cacheable full bytes.
+	st = meet()
+	if st.RefFolders != 1 || st.FullFolders != 3 {
+		t.Fatalf("second meet: want FROZEN as a ref and BLOB full once more: %+v", st)
 	}
-	st = a.WireStats()
-	if st.RefFolders < 2 {
-		t.Fatalf("repeat meet shipped no refs: %+v", st)
-	}
-	if st.FullFolders != firstFull {
-		t.Fatalf("repeat meet re-shipped full folders: %+v", st)
+
+	// Third meet: both unchanged large folders go as refs.
+	st = meet()
+	if st.RefFolders != 3 || st.FullFolders != 3 {
+		t.Fatalf("third meet re-shipped full folders: %+v", st)
 	}
 	if got, _ := bc.Folder("FROZEN"); !got.Equal(bigFolder('f', 300)) {
 		t.Fatal("FROZEN changed in transit")
+	}
+	if got, _ := bc.Folder("BLOB"); !got.Equal(bigFolder('x', 500)) {
+		t.Fatal("BLOB changed in transit")
 	}
 }
 
@@ -84,8 +89,12 @@ func TestRemoteMeetDeltaMissRecovers(t *testing.T) {
 
 	bc := folder.NewBriefcase()
 	bc.Put("BLOB", bigFolder('x', 400))
-	if err := a.RemoteMeet(context.Background(), b.ID(), "count", bc); err != nil {
-		t.Fatal(err)
+	// Two meets: the first ships BLOB unhashed, the second caches it on
+	// both ends, so the next meet refs it.
+	for i := 0; i < 2; i++ {
+		if err := a.RemoteMeet(context.Background(), b.ID(), "count", bc); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Simulate the callee evicting everything: flood its cache for peer a
@@ -100,11 +109,67 @@ func TestRemoteMeetDeltaMissRecovers(t *testing.T) {
 	if err := a.RemoteMeet(context.Background(), b.ID(), "count", bc); err != nil {
 		t.Fatal(err)
 	}
-	if meets != 2 {
-		t.Fatalf("meets = %d, want 2 (miss retry must not double-execute)", meets)
+	if meets != 3 {
+		t.Fatalf("meets = %d, want 3 (miss retry must not double-execute)", meets)
 	}
 	if st := a.WireStats(); st.Misses != 1 {
 		t.Fatalf("caller observed %d misses, want 1 (%+v)", st.Misses, st)
+	}
+}
+
+// TestRemoteMeetFreshFoldersCounted pins the wire accounting of a
+// courier-shaped meet — fresh bytes out, a fresh receipt back, nothing ever
+// repeated: every such folder ships unhashed as EntryFull, and both sites'
+// FullBytes still equal the canonical sizes of the folders they shipped.
+func TestRemoteMeetFreshFoldersCounted(t *testing.T) {
+	sys := testSystem(t, 2)
+	a, b := sys.SiteAt(0), sys.SiteAt(1)
+	var receipt int64
+	b.Register("depot", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
+		bc.Delete("WORK")
+		r := bigFolder(byte(receipt), 4096)
+		receipt++
+		bc.Put(folder.ResultFolder, r)
+		return nil
+	}))
+	var tags [3]int
+	for _, s := range []*Site{a, b} {
+		s.SetWireRecorder(func(_ vnet.SiteID, _ string, tag byte, _ int) { tags[tag]++ })
+	}
+
+	var sent, received int64
+	const meets = 4
+	for i := 0; i < meets; i++ {
+		work := folder.New()
+		for k := 0; k < 8; k++ {
+			e := make([]byte, 512)
+			e[0], e[1] = byte(i), byte(k)
+			work.PushOwned(e)
+		}
+		bc := folder.NewBriefcase()
+		bc.Put("WORK", work)
+		sent += int64(len(folder.EncodeFolder(work)))
+		if err := a.RemoteMeet(context.Background(), b.ID(), "depot", bc); err != nil {
+			t.Fatal(err)
+		}
+		r, err := bc.Folder(folder.ResultFolder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		received += int64(len(folder.EncodeFolder(r)))
+	}
+	sa, sb := a.WireStats(), b.WireStats()
+	if sa.FullFolders != meets || sa.FullBytes != sent || sa.RefFolders != 0 {
+		t.Fatalf("caller: %d full folders / %d B, want %d / %d (%+v)", sa.FullFolders, sa.FullBytes, meets, sent, sa)
+	}
+	if sb.FullFolders != meets || sb.FullBytes != received || sb.RefFolders != 0 {
+		t.Fatalf("callee: %d full folders / %d B, want %d / %d (%+v)", sb.FullFolders, sb.FullBytes, meets, received, sb)
+	}
+	if tags != [3]int{folder.EntryFull: 2 * meets} {
+		t.Fatalf("entry tags %v, want only EntryFull", tags)
+	}
+	if n := a.peerWire(b.ID()).cache.Len() + b.peerWire(a.ID()).cache.Len(); n != 0 {
+		t.Fatalf("fresh folders left %d cache entries", n)
 	}
 }
 

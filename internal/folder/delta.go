@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 )
 
 // Content-addressed folder deltas (the meet wire protocol).
@@ -16,11 +18,11 @@ import (
 // both ends keep a bounded per-peer DeltaCache of hash → encoded bytes.
 // The paradigm case is a signed roaming agent: its SIG folder (frozen at
 // launch) and CODE folder are byte-identical on every hop of an itinerary,
-// so after the first hop over a link the agent's own code stops crossing
-// the wire.
+// so after the first hop over a link (the second for a CODE folder that is
+// not frozen) the agent's own code stops crossing the wire.
 //
 //	briefcaseΔ := magicBriefcaseDelta ver count:uvarint { nameLen name entry }*
-//	entry      := EntryFull folder            (below threshold; not cached)
+//	entry      := EntryFull folder            (below threshold or first sight; not cached)
 //	            | EntryFullCached folder      (both ends cache under its hash)
 //	            | EntryRef hash[32]           (peer resolves from its cache)
 //
@@ -33,6 +35,14 @@ import (
 // meet2 handling). Receivers never trust a sender's hash — they hash the
 // received bytes themselves, so a hostile peer cannot poison a cache entry
 // for content it does not have.
+//
+// Content addressing pays only for bytes a link carries more than once. A
+// folder with no memoized digest is therefore hashed on its second sight:
+// the first time a link ships its encoding the sender only records a 64-bit
+// fingerprint in the cache's seen table and ships EntryFull; the second
+// time it takes the SHA-256 path (EntryFullCached), and from the third on
+// it ships a ref. A fingerprint never decides correctness — a collision or
+// an overwritten slot only costs one SHA-256 the table could have skipped.
 const magicBriefcaseDelta = 0xB2
 
 // Delta entry tags, exported so wire accounting (core.WireStats, recorders)
@@ -44,10 +54,10 @@ const (
 )
 
 // DeltaMinSize is the minimum canonical encoding size for a folder with no
-// memoized digest to be worth content-addressing: such a folder pays a
-// sender-side SHA-256 on every ship (and a receiver-side one when shipped
-// full), so below this the hashing and cache bookkeeping cost more than
-// just shipping the bytes.
+// memoized digest to be worth content-addressing. Such a folder pays a
+// seen-table fingerprint on every ship and, once the link has carried it
+// before, a SHA-256 on each side plus cache bookkeeping; below this size
+// that costs more than just shipping the bytes.
 const DeltaMinSize = 128
 
 // DeltaMinSizeCached is the (lower) threshold for folders whose digest is
@@ -67,7 +77,8 @@ func HashBytes(enc []byte) Hash { return sha256.Sum256(enc) }
 
 // DeltaRecorder observes each eligible folder entry as it is encoded; the
 // kernel uses it for wire accounting and tests use it to prove SIG bytes
-// ship only once. tag is EntryFullCached or EntryRef; n is the canonical
+// ship only once. tag is EntryFull (an un-memoized folder's first sight on
+// this link), EntryFullCached or EntryRef; n is the canonical
 // encoding size the entry represents — for a ref, the bytes that did NOT
 // cross the wire. May be nil.
 type DeltaRecorder func(name string, tag byte, n int)
@@ -81,12 +92,48 @@ type DeltaRecorder func(name string, tag byte, n int)
 // folder traffic instead of sitting at the head of a FIFO. A peer flooding
 // unique folders can still grow the cache only to its bound, at the price
 // of evicting its own earlier entries, never of unbounded memory here.
+//
+// The cache also owns the link's seen table: a direct-mapped array of
+// fingerprints of un-memoized encodings this side has shipped, one slot per
+// KiB of byte budget, allocated on the first encode and never grown.
 type DeltaCache struct {
 	mu       sync.Mutex
 	maxBytes int
 	bytes    int
 	entries  map[Hash]*dentry
 	order    []Hash // clock order; head is the next eviction probe
+	seen     atomic.Pointer[[]atomic.Uint64]
+}
+
+// seenSeed keys the seen-table fingerprints; it is per process, so a peer
+// cannot aim collisions at a slot (which would only cost it SHA-256s).
+var seenSeed = maphash.MakeSeed()
+
+// seenTable returns the link's seen table, allocating it on first use.
+func (c *DeltaCache) seenTable() *[]atomic.Uint64 {
+	if t := c.seen.Load(); t != nil {
+		return t
+	}
+	t := make([]atomic.Uint64, max(c.maxBytes>>10, 1))
+	c.seen.CompareAndSwap(nil, &t)
+	return c.seen.Load()
+}
+
+// fingerprint is an encoding's seen-table key; never 0, the empty slot.
+func fingerprint(enc []byte) uint64 { return maphash.Bytes(seenSeed, enc) | 1<<63 }
+
+// secondSight reports whether this cache's link has shipped enc before,
+// and records that it has now. Slots are lock-free: a racing ship may
+// overwrite another's fingerprint, which only costs a later hash.
+func (c *DeltaCache) secondSight(enc []byte) bool {
+	t := *c.seenTable()
+	fp := fingerprint(enc)
+	slot := &t[fp%uint64(len(t))]
+	if slot.Load() == fp {
+		return true
+	}
+	slot.Store(fp)
+	return false
 }
 
 // dentry is one cache entry; ref is the second-chance bit, set on Get.
@@ -221,7 +268,9 @@ func encodedFolderSize(f *Folder) int {
 // cache c. Eligible folders (canonical encoding ≥ DeltaMinSize, or ≥
 // DeltaMinSizeCached with a memoized digest) ship as a 32-byte ref when
 // refs approves their hash, and as cacheable full bytes otherwise —
-// inserting into c on the way out, per the mutual-insertion invariant.
+// inserting into c on the way out, per the mutual-insertion invariant. An
+// eligible folder with no memoized digest that c's link has not shipped
+// before goes as plain EntryFull instead: unhashed, uncached, unpinned.
 //
 //   - refs decides whether a ref may be emitted for a hash and returns the
 //     stable stored encoding when so. Request encoders pass the peer
@@ -292,13 +341,21 @@ func AppendBriefcaseDelta(dst []byte, b *Briefcase, c *DeltaCache,
 			dst = AppendFolder(dst, f)
 			continue
 		}
-		// Un-memoized folder: encode into dst first, hash the fresh
-		// segment, and rewind to a ref when the peer already holds it.
+		// Un-memoized folder: encode into dst first. On its first sight
+		// over this link it ships as plain EntryFull; on a later one hash
+		// the fresh segment and rewind to a ref when the peer holds it.
 		dst = append(dst, EntryFullCached)
 		mark := len(dst)
 		dst = AppendFolder(dst, f)
-		h := HashBytes(dst[mark:])
 		encLen := len(dst) - mark
+		if !c.secondSight(dst[mark:]) {
+			dst[mark-1] = EntryFull
+			if rec != nil {
+				rec(name, EntryFull, encLen)
+			}
+			continue
+		}
+		h := HashBytes(dst[mark:])
 		if refs != nil {
 			if cached, hit := refs(h); hit {
 				dst = dst[:mark-1]

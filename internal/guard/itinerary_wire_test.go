@@ -16,7 +16,9 @@ import (
 // launch and stays byte-identical on every hop (jump restores CODE before
 // each move), so after the first traversal of a link the SIG folder must
 // cross as a 32-byte content ref — full SIG bytes ship exactly once per
-// directed link, never per hop.
+// directed link, never per hop. CODE, restored un-memoized by ag_tacl at
+// every site, follows the second-sight rule instead: unhashed full bytes on
+// a link's first traversal, cacheable full bytes on its second, refs after.
 func TestItineraryShipsSIGBytesOncePerLink(t *testing.T) {
 	sys := core.NewNamedSystem([]vnet.SiteID{"A", "B", "C"}, core.SystemConfig{Seed: 7})
 	defer sys.Wait()
@@ -47,8 +49,8 @@ func TestItineraryShipsSIGBytesOncePerLink(t *testing.T) {
 	keys := NewKeyring()
 	keys.Enroll("traveler")
 
-	// Two full loops of the ring: A→B→C→A→B→C→A. The second traversal of
-	// every link must ref SIG (and CODE) instead of re-shipping bytes.
+	// Three full loops of the ring: A→B→C→A→B→C→A→B→C→A. The second
+	// traversal of every link must ref SIG, the third CODE too.
 	// The filler line keeps the CODE folder over the mutable-folder delta
 	// threshold, as any realistic agent script would be.
 	script := `
@@ -64,14 +66,14 @@ bc_push TRAIL done
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc.Put("HOPS", folder.OfStrings("B", "C", "A", "B", "C", "A"))
+	bc.Put("HOPS", folder.OfStrings("B", "C", "A", "B", "C", "A", "B", "C", "A"))
 	if err := Launch(context.Background(), sys.Site("A"), bc); err != nil {
 		t.Fatal(err)
 	}
 
 	trail, err := bc.Folder("TRAIL")
-	if err != nil || trail.Len() != 8 { // launch + 6 hops + "done"
-		t.Fatalf("TRAIL = %v (err %v), want 8 stations", trail, err)
+	if err != nil || trail.Len() != 11 { // launch + 9 hops + "done"
+		t.Fatalf("TRAIL = %v (err %v), want 11 stations", trail, err)
 	}
 
 	mu.Lock()
@@ -93,10 +95,15 @@ bc_push TRAIL done
 			t.Errorf("link %s→%s SIG encoding size %d != %d (SIG not byte-identical across hops)",
 				l[0], l[1], fullSizes[kFull], sigSize)
 		}
-		// CODE is restored byte-identically before each hop, so it obeys
-		// the same once-per-link rule.
-		if got := entries[key{l[0], l[1], folder.CodeFolder, folder.EntryFullCached}]; got != 1 {
-			t.Errorf("link %s→%s shipped full CODE bytes %d times, want exactly 1", l[0], l[1], got)
+		if got := entries[key{l[0], l[1], SigFolder, folder.EntryFull}]; got != 0 {
+			t.Errorf("link %s→%s shipped SIG unhashed %d times; a frozen folder is always addressed", l[0], l[1], got)
+		}
+		// CODE is restored byte-identically before each hop, so the link
+		// sees it once unhashed, once cacheable, then only as refs.
+		for tag, want := range map[byte]int{folder.EntryFull: 1, folder.EntryFullCached: 1, folder.EntryRef: 1} {
+			if got := entries[key{l[0], l[1], folder.CodeFolder, tag}]; got != want {
+				t.Errorf("link %s→%s shipped CODE with tag %#x %d times, want %d", l[0], l[1], tag, got, want)
+			}
 		}
 	}
 	// Replies carry SIG back down the nested meet chain; every one of those
