@@ -12,7 +12,7 @@ package stormcast
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 )
@@ -118,15 +118,35 @@ func (m Model) intensity(x, y, t int) float64 {
 
 // Observe generates the sensor reading at grid position (x,y), time t.
 func (m Model) Observe(site string, x, y, t int) Observation {
-	// Noise is keyed by position and time so repeated calls agree.
-	rng := rand.New(rand.NewSource(m.Seed ^ int64(x)<<40 ^ int64(y)<<20 ^ int64(t)))
 	inten := m.intensity(x, y, t)
+	np, nw, nt := m.noise(x, y, t)
 	return Observation{
 		Site: site, X: x, Y: y, T: t,
-		Pressure: 1013 - m.Depth*inten + rng.NormFloat64()*1.5,
-		Wind:     5 + m.MaxWind*inten + math.Abs(rng.NormFloat64())*1.2,
-		Temp:     -12 + 4*inten + rng.NormFloat64()*0.8,
+		Pressure: 1013 - m.Depth*inten + np*1.5,
+		Wind:     5 + m.MaxWind*inten + math.Abs(nw)*1.2,
+		Temp:     -12 + 4*inten + nt*0.8,
 	}
+}
+
+// noise returns three independent standard normal deviates keyed by
+// (Seed, x, y, t), so repeated calls agree and no state is shared between
+// readings. A PCG stream seeded with the key feeds Box–Muller; the
+// generator lives on the stack, so a reading allocates nothing.
+func (m Model) noise(x, y, t int) (a, b, c float64) {
+	var src rand.PCG
+	src.Seed(uint64(m.Seed), uint64(x)<<40^uint64(y)<<20^uint64(t))
+	a, b = boxMuller(&src)
+	c, _ = boxMuller(&src)
+	return a, b, c
+}
+
+// boxMuller turns two uniform draws into two independent standard normals.
+func boxMuller(src *rand.PCG) (float64, float64) {
+	u1 := float64(src.Uint64()>>11+1) / (1 << 53) // (0, 1]: Log stays finite
+	u2 := float64(src.Uint64()>>11) / (1 << 53)
+	r := math.Sqrt(-2 * math.Log(u1))
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	return r * cos, r * sin
 }
 
 // StormAt reports ground truth: whether the storm meaningfully affects

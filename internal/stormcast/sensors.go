@@ -1,6 +1,7 @@
 package stormcast
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,6 +27,15 @@ const (
 	// SummaryFolder returns the local feature summary, one element.
 	SummaryFolder = "SUMMARY"
 )
+
+// MaxWindow caps the WINDOW a sensor query may ask for. The length comes
+// from the visiting briefcase and sizes the reading buffer, so an uncapped
+// value lets any agent exhaust (or crash) the site.
+const MaxWindow = 4096
+
+// ErrBadWindow is returned (wrapped in the meet's error) for a WINDOW above
+// MaxWindow.
+var ErrBadWindow = errors.New("stormcast: window too large")
 
 // Summary is the locally reduced feature vector an agent carries instead
 // of raw data: this is the filtering step that conserves bandwidth.
@@ -90,17 +100,19 @@ func InstallSensor(site *core.Site, model Model, x, y int) *Sensor {
 	return s
 }
 
-// window generates the observation window ending at time t.
+// window generates the observation window of n ≤ MaxWindow steps ending at
+// time t; steps before 0 have no reading. Counting steps rather than
+// comparing times keeps a t near the int range's edges from overflowing.
 func (s *Sensor) window(t, n int) []Observation {
-	if n < 1 {
-		n = 1
+	if t < 0 {
+		return nil
+	}
+	if t < n-1 {
+		n = t + 1
 	}
 	out := make([]Observation, 0, n)
-	for i := t - n + 1; i <= t; i++ {
-		if i < 0 {
-			continue
-		}
-		out = append(out, s.model.Observe(string(s.site.ID()), s.x, s.y, i))
+	for k := n - 1; k >= 0; k-- {
+		out = append(out, s.model.Observe(string(s.site.ID()), s.x, s.y, t-k))
 	}
 	return out
 }
@@ -144,6 +156,9 @@ func (s *Sensor) meet(mc *core.MeetContext, bc *folder.Briefcase) error {
 		if v, err := strconv.Atoi(w); err == nil && v > 0 {
 			n = v
 		}
+	}
+	if n > MaxWindow {
+		return fmt.Errorf("sensor: %w: %d > %d", ErrBadWindow, n, MaxWindow)
 	}
 	window := s.window(t, n)
 	switch op {

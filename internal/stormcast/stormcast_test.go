@@ -2,6 +2,8 @@ package stormcast
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -154,6 +156,41 @@ func TestSensorAgentErrors(t *testing.T) {
 	for i, c := range cases {
 		if err := c(); err == nil {
 			t.Errorf("case %d succeeded", i)
+		}
+	}
+}
+
+// TestSensorRejectsHostileWindow: WINDOW and T come from the visiting
+// agent, so absurd values must fail the meet (or yield a bounded window),
+// never crash or hang the site.
+func TestSensorRejectsHostileWindow(t *testing.T) {
+	f := testField(t, 2, 2)
+	for _, w := range []string{"100000000000000", strconv.Itoa(MaxWindow + 1)} {
+		bc := coreBC("raw", 5, 1)
+		bc.PutString(WindowFolder, w)
+		err := f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc)
+		if !errors.Is(err, ErrBadWindow) {
+			t.Errorf("WINDOW=%s: err = %v, want ErrBadWindow", w, err)
+		}
+	}
+	bc := coreBC("raw", 10, MaxWindow)
+	if err := f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc); err != nil {
+		t.Fatalf("WINDOW=MaxWindow: %v", err)
+	}
+	if obs, _ := bc.Folder(ObsFolder); obs == nil || obs.Len() != 11 {
+		t.Fatalf("WINDOW=MaxWindow at T=10: OBS = %v, want 11 readings", obs)
+	}
+	for _, tt := range []int{math.MaxInt, math.MinInt} {
+		bc := coreBC("raw", tt, 3)
+		if err := f.Home.RemoteMeet(context.Background(), f.Sites[0], AgSensor, bc); err != nil {
+			t.Fatalf("T=%d: %v", tt, err)
+		}
+		want := 3
+		if tt < 0 {
+			want = 0
+		}
+		if obs, _ := bc.Folder(ObsFolder); obs == nil || obs.Len() != want {
+			t.Fatalf("T=%d: OBS = %v, want %d readings", tt, obs, want)
 		}
 	}
 }

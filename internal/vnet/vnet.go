@@ -37,8 +37,12 @@ var (
 	ErrClosed      = errors.New("vnet: endpoint closed")
 )
 
-// HandlerFunc serves an incoming call on a site. It runs on the callee's
-// node; the returned bytes travel back to the caller.
+// HandlerFunc serves an incoming call on a site; the returned bytes travel
+// back to the caller. The TCP transport runs each request's handler on a
+// goroutine of its own. The simulated Node runs it on the caller's
+// goroutine when the call cannot be cancelled (its ctx.Done() is nil), and
+// on a goroutine of its own otherwise, which outlives an abandoned call.
+// A handler must not depend on which goroutine it runs on.
 //
 // Ownership: the payload belongs to the handler (it may alias it into
 // long-lived structures); the returned bytes belong to the caller and must
@@ -508,7 +512,10 @@ func (nd *Node) Close() error {
 // Bytes are charged in both directions. A crashed or unreachable callee
 // manifests as ErrTimeout after the network's call timeout — callers cannot
 // distinguish a dead site from a slow one, which is what the rear-guard
-// failure detector must cope with.
+// failure detector must cope with. With a ctx that cannot be cancelled the
+// destination's handler runs inline on the calling goroutine; otherwise it
+// runs on its own goroutine, and cancellation returns promptly while the
+// handler finishes unobserved.
 func (nd *Node) Call(ctx context.Context, to SiteID, kind string, payload []byte) ([]byte, error) {
 	if nd.closed.Load() {
 		return nil, ErrClosed
@@ -560,32 +567,40 @@ func (nd *Node) Call(ctx context.Context, to SiteID, kind string, payload []byte
 		}
 	}
 
-	type result struct {
-		data []byte
-		err  error
-	}
 	// The handler gets a private copy of the payload: Endpoint.Call promises
 	// the caller its buffer is free for reuse once Call returns, while the
 	// handler (which may outlive an abandoned call, and whose zero-copy
 	// briefcase decode aliases its input) owns what it receives — the same
 	// ownership transfer a real wire performs.
 	req := append([]byte(nil), payload...)
-	ch := make(chan result, 1)
-	go func() {
-		data, err := h(nd.id, kind, req)
-		ch <- result{data, err}
-	}()
 
 	// A live handler is waited on without a network-level timeout: the
 	// timeout models unreachability (crash, partition, loss), not slow
 	// computation. Nested synchronous meets would otherwise cascade inner
 	// failure-detection delays into spurious outer timeouts. Callers bound
-	// total time with ctx.
+	// total time with ctx. A call that cannot be cancelled waits for the
+	// handler whatever happens, so the handler runs on the caller's
+	// goroutine: a nested itinerary then costs no goroutine (and no fresh
+	// stack to regrow) per hop. Otherwise it runs on its own goroutine,
+	// which cancellation abandons.
+	type result struct {
+		data []byte
+		err  error
+	}
 	var res result
-	select {
-	case res = <-ch:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if ctx.Done() == nil {
+		res.data, res.err = h(nd.id, kind, req)
+	} else {
+		ch := make(chan result, 1)
+		go func() {
+			data, err := h(nd.id, kind, req)
+			ch <- result{data, err}
+		}()
+		select {
+		case res = <-ch:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 
 	// The callee may have crashed while serving; the reply is then lost.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -205,6 +207,47 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if time.Since(start) > 500*time.Millisecond {
 		t.Fatal("cancellation not honored promptly")
+	}
+}
+
+// TestNestedCallsRunInline: a call that cannot be cancelled runs its handler
+// on the caller's goroutine, so a chain of nested calls — a roaming agent's
+// itinerary — grows no goroutine per hop. Each handler calls the other
+// node until the depth in the payload reaches zero.
+func TestNestedCallsRunInline(t *testing.T) {
+	const depth = 256
+	n := NewNetwork(WithCallTimeout(time.Second))
+	nodes := []*Node{n.AddNode("a"), n.AddNode("b")}
+	var deepest int
+	for i, nd := range nodes {
+		other := nodes[1-i].ID()
+		nd.SetHandler(func(_ SiteID, kind string, payload []byte) ([]byte, error) {
+			d, err := strconv.Atoi(string(payload))
+			if err != nil {
+				return nil, err
+			}
+			if d == 0 {
+				deepest = runtime.NumGoroutine()
+				return []byte("bottom"), nil
+			}
+			return nd.Call(context.Background(), other, kind, []byte(strconv.Itoa(d-1)))
+		})
+	}
+	// Goroutines other tests left behind may exit while the chain runs;
+	// retry until a run sees a steady count.
+	for attempt := 0; ; attempt++ {
+		before := runtime.NumGoroutine()
+		got, err := nodes[0].Call(context.Background(), "b", "hop", []byte(strconv.Itoa(depth-1)))
+		if err != nil || string(got) != "bottom" {
+			t.Fatalf("chain of %d calls: %q, %v", depth, got, err)
+		}
+		if deepest == before {
+			return
+		}
+		if attempt == 20 {
+			t.Fatalf("deepest handler saw %d goroutines, %d before the outer call", deepest, before)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
