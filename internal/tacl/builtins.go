@@ -113,7 +113,7 @@ func (in *Interp) incrVar(name string, delta int64) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("expected integer in %q, got %q", name, cur)
 	}
-	v := strconv.FormatInt(n+delta, 10)
+	v := in.intText(n + delta)
 	in.setVar(name, v)
 	return v, nil
 }
@@ -300,19 +300,33 @@ func cmdProc(in *Interp, args []string) (string, error) {
 	if err := arity(args, 3, 3, "proc name params body"); err != nil {
 		return "", err
 	}
-	params, err := parseParams(args[1])
-	if err != nil {
-		return "", err
-	}
 	body, err := ParseCached(args[2])
 	if err != nil {
+		if _, perr := parseParams(args[1]); perr != nil {
+			return "", perr // a bad parameter list is reported first
+		}
 		return "", err
+	}
+	sig := body.sig.Load()
+	if sig == nil || sig.spec != args[1] {
+		if sig, err = newProcSig(args[1], body); err != nil {
+			return "", err
+		}
+		body.sig.Store(sig)
 	}
 	if in.procs == nil {
 		in.procs = make(map[string]*procDef, 8)
 	}
-	in.procs[args[0]] = &procDef{name: args[0], params: params, body: body}
+	in.procs[args[0]] = &procDef{name: args[0], body: body, sig: sig}
 	in.canonState = nil // the new proc may shadow an inlinable builtin
+	// Static call sites consult procs only for symbols marked as proc names
+	// (see dispatchStatic). The mark is process-wide and sticky: it costs
+	// other interpreters one map probe for this name, never a wrong call.
+	if sym := internScriptSym(args[0]); sym == nil {
+		in.procsUnmarked = true
+	} else if !sym.isProc.Load() {
+		sym.isProc.Store(true)
+	}
 	return "", nil
 }
 
@@ -345,11 +359,11 @@ func cmdReturn(in *Interp, args []string) (string, error) {
 	if err := arity(args, 0, 1, "return ?value?"); err != nil {
 		return "", err
 	}
-	v := ""
+	in.retVal = ""
 	if len(args) == 1 {
-		v = args[0]
+		in.retVal = args[0]
 	}
-	return "", &returnSignal{value: v}
+	return "", errReturn
 }
 
 func cmdBreak(in *Interp, args []string) (string, error)    { return "", errBreak }

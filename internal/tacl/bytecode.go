@@ -2,6 +2,7 @@ package tacl
 
 import (
 	"errors"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -71,35 +72,14 @@ type exprRef struct {
 	constTruthy    bool
 	constTruthyErr error
 
-	// Fast form, set when the specialized AST is exactly
-	// `slotVar op intConst`: the VM computes the result from a slot read and
-	// one integer op, skipping the AST walk and exprVal conversions. Any
-	// precondition miss (scope not bound to fastProg, diverted, slot not
-	// live, value not a plain integer) falls back to the generic AST, whose
-	// semantics the fast path reproduces bit-for-bit on the cases it takes.
-	fastKind  uint8
-	fastSlot  int32
-	fastConst int64
-	fastProg  *program
-	// fastCmd is set (with fastKind == fastCmdSub) when the AST is exactly
-	// one [command] substitution: the VM runs its layout-shared program
-	// directly, skipping the AST node and the exprVal round-trip.
-	fastCmd *slotCmdNode
+	// ints is the integer program of an operator tree whose leaves are all
+	// slot variables and integer constants (see intProg); nil otherwise.
+	ints *intProg
+	// cmd is set when the AST is exactly one [command] substitution: the VM
+	// runs its layout-shared program directly, skipping the AST node and the
+	// exprVal round-trip.
+	cmd *slotCmdNode
 }
-
-// exprRef fast-form kinds. Additive results are int64 sums (same wraparound
-// as applyAdditive's int path); relational results compare as float64 like
-// applyRelational does when both sides are numeric.
-const (
-	fastNone = iota
-	fastAdd
-	fastSub
-	fastLT
-	fastLE
-	fastGT
-	fastGE
-	fastCmdSub
-)
 
 // region describes error-handling extents of the op stream. Loop regions
 // intercept break/continue raised anywhere in the loop body (including from
@@ -195,17 +175,12 @@ func compileProgram(s *Script) (p *program, err error) {
 			p, err = nil, errProgramTooLarge
 		}
 	}()
-	c := &compiler{
-		prog:     &program{varIdx: make(map[string]int32)},
-		constIdx: make(map[string]int32),
-		exprIdx:  make(map[string]int32),
-		symIdx:   make(map[*symbol]int32),
-	}
-	c.prog.layout = c.prog
+	c := newCompiler(nil)
 	c.compileCmds(s.cmds)
 	if len(c.prog.ops) > maxProgramOps {
 		return nil, errProgramTooLarge
 	}
+	c.prog.sortRegions()
 	return c.prog, nil
 }
 
@@ -220,17 +195,24 @@ func compileProgramShared(s *Script, layout *program) (p *program) {
 			p = nil
 		}
 	}()
-	c := &compiler{
-		prog:     &program{layout: layout},
-		constIdx: make(map[string]int32),
-		exprIdx:  make(map[string]int32),
-		symIdx:   make(map[*symbol]int32),
-	}
+	c := newCompiler(layout)
 	c.compileCmds(s.cmds)
 	if len(c.prog.ops) > maxProgramOps {
 		return nil
 	}
+	c.prog.sortRegions()
 	return c.prog
+}
+
+// sortRegions orders the region table innermost first, the order recoverErr
+// visits it in. Regions are properly nested, so the smaller of two regions
+// containing a pc is the inner one; the stable sort keeps emission order
+// between equal extents, and an inner construct's region is emitted first.
+func (p *program) sortRegions() {
+	sort.SliceStable(p.regions, func(a, b int) bool {
+		ra, rb := &p.regions[a], &p.regions[b]
+		return ra.end-ra.start < rb.end-rb.start
+	})
 }
 
 type compiler struct {
@@ -242,6 +224,22 @@ type compiler struct {
 	// pendingArgs tracks how many argument words of enclosing calls are on
 	// the scratch stack at the current emission point (see region.scratch).
 	pendingArgs int32
+}
+
+// newCompiler starts a program whose variable ops index layout's slots, or
+// its own fresh layout when layout is nil.
+func newCompiler(layout *program) *compiler {
+	p := &program{layout: layout}
+	if layout == nil {
+		p.varIdx = make(map[string]int32)
+		p.layout = p
+	}
+	return &compiler{
+		prog:     p,
+		constIdx: make(map[string]int32),
+		exprIdx:  make(map[string]int32),
+		symIdx:   make(map[*symbol]int32),
+	}
 }
 
 func (c *compiler) pc() int32 { return int32(len(c.prog.ops)) }
@@ -337,7 +335,8 @@ func (c *compiler) exprRefIdx(src string) int32 {
 			// it); this program gets a private clone whose varNodes read
 			// their slot directly when the program's scope is current.
 			ref.prog = &exprProg{root: root}
-			c.noteFastExpr(ref, root)
+			ref.cmd, _ = root.(*slotCmdNode)
+			ref.ints = compileIntProg(root, c.prog.layout)
 		}
 	}
 	i := int32(len(c.prog.exprs))
@@ -423,58 +422,6 @@ func (c *compiler) specializeExpr(n exprNode) (exprNode, bool) {
 		}
 	}
 	return n, false
-}
-
-// noteFastExpr records the exprRef fast form when the specialized AST is
-// exactly `slotVar op intConst` for an additive or relational op — the
-// canonical loop-counter shapes (`$i < 100`, `$i + 1`).
-func (c *compiler) noteFastExpr(ref *exprRef, root exprNode) {
-	var kind uint8
-	var l, r exprNode
-	switch x := root.(type) {
-	case *slotCmdNode:
-		ref.fastKind = fastCmdSub
-		ref.fastCmd = x
-		return
-	case *addNode:
-		switch x.op {
-		case '+':
-			kind = fastAdd
-		case '-':
-			kind = fastSub
-		default:
-			return
-		}
-		l, r = x.l, x.r
-	case *relNode:
-		switch x.op {
-		case "<":
-			kind = fastLT
-		case "<=":
-			kind = fastLE
-		case ">":
-			kind = fastGT
-		case ">=":
-			kind = fastGE
-		default:
-			return
-		}
-		l, r = x.l, x.r
-	default:
-		return
-	}
-	sv, ok := l.(*slotVarNode)
-	if !ok || sv.prog != c.prog.layout {
-		return
-	}
-	cn, ok := r.(*constNode)
-	if !ok || !cn.v.isInt {
-		return
-	}
-	ref.fastKind = kind
-	ref.fastSlot = sv.slot
-	ref.fastConst = cn.v.i
-	ref.fastProg = sv.prog
 }
 
 // exprPure reports whether an expression AST is free of variable and

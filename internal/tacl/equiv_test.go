@@ -31,6 +31,7 @@ type equivResult struct {
 	puts     string
 	isJump   bool
 	jumpDest string
+	isPark   bool
 	isBudget bool
 }
 
@@ -50,6 +51,14 @@ func runEquiv(src string, engine Engine, maxSteps int) equivResult {
 		}
 		return "", JumpSignal(args[0])
 	})
+	// And for the kernel's park command: like jump, a stop signal no catch
+	// may trap.
+	in.Register("park", func(_ *Interp, args []string) (string, error) {
+		if len(args) != 1 {
+			return "", errors.New("park needs one arg")
+		}
+		return "", ParkSignal(args[0])
+	})
 	// A side-effecting host command, so the suite observes evaluation
 	// order and count of [command] substitutions.
 	probe := 0
@@ -65,6 +74,7 @@ func runEquiv(src string, engine Engine, maxSteps int) equivResult {
 		if d, ok := IsJump(err); ok {
 			r.isJump, r.jumpDest = true, d
 		}
+		_, r.isPark = IsPark(err)
 		r.isBudget = errors.Is(err, ErrBudget)
 	}
 	return r
@@ -228,6 +238,52 @@ var equivCorpus = []string{
 	// Jump semantics: execution stops at the origin after a migration.
 	`set x 1; jump site-b; set x 2`,
 	`set i 0; while {$i < 10} { incr i; if {$i == 4} { jump dest } }`,
+	// Park semantics: a stop signal, so catch passes it through.
+	`set after 0; catch {park me} m; set after 1`,
+	`proc p {} { catch {park me}; return no }; p; set after 1`,
+	`set i 0; while {1} { incr i; if {$i == 2} { catch {park me} } }`,
+	// Return: from loops, substitutions, expr and catch inside a proc, and
+	// the value surviving nested calls; at top level, its error text.
+	`proc f {} { set i 0; while {1} { incr i; if {$i == 3} { return $i } } }; f`,
+	`proc f {} { foreach x {a b c} { if {$x eq "b"} { return $x } }; return none }; f`,
+	`proc f {} { for {set i 0} {1} {incr i} { if {$i > 4} { return $i } } }; f`,
+	`proc f {} { set v [return inner]; return outer }; f`,
+	`proc f {} { expr {[return x]} }; f`,
+	`proc f {} { expr {1 + [return y]} }; f`,
+	`proc f {} { catch {return caught}; return after }; f`,
+	`proc f {} { catch {return x} m; set m }; list [f] [info exists m]`,
+	`proc f {} { return }; list [f] [f]`,
+	`proc g {} { return g }; proc f {} { set x [g]; return "f$x" }; f`,
+	`proc f {} { uplevel 1 {return up} }; proc h {} { f; return h }; h`,
+	`proc f {n} { if {$n == 0} { return 0 }; expr {[f [expr {$n - 1}]] + 1} }; f 40`,
+	`proc r {n} { r [expr {$n + 1}] }; catch {r 0} m; set m`,
+	`proc r {n} { if {$n >= 90} { return $n }; return [r [expr {$n + 1}]] }; r 0`,
+	`proc r {n} { if {$n >= 200} { return $n }; return [r [expr {$n + 1}]] }; catch {r 0} m; set m`,
+	`return 5`,
+	`catch {return 5} m`,
+	`expr {[return x]}`,
+	`proc f {} { while {1} { return 1 } }; proc g {} { break }; list [f] [catch {g} m] $m`,
+	// Integer programs: operator trees over slot variables and integer
+	// constants, with every edge the AST owns — overflow wraps, flooring
+	// / and %, zero divisors, non-integer operands, float relational
+	// comparison past 2**53, and a bare operand's text.
+	`proc mix {a b} { return [expr {($a * 31 + $b) % 65521}] }; set acc 7; for {set i 0} {$i < 64} {incr i} { set acc [mix $acc $i] }; set acc`,
+	`set m 922337203685477580; list [expr {$m * 10 + 7}] [expr {$m * 10 + 7 + 1}] [expr {-($m * 10 + 7) - 2}]`,
+	`set m 9223372036854775807; list [expr {$m + 1}] [expr {$m - 1}]`,
+	`set a -7; set b 2; list [expr {$a / $b}] [expr {$a % $b}] [expr {$a / -$b}] [expr {-$a % -$b}] [expr {$a % -$b}]`,
+	`set a 5; set z 0; catch {expr {$a / $z}} m1; catch {expr {$a % $z}} m2; catch {expr {$a + 1 / $z}} m3; list $m1 $m2 $m3`,
+	`set s " 5 "; list [expr {$s + 1}] [expr {$s < 6}] [expr {$s == 5}]`,
+	`set h 0x10; list [catch {expr {$h + 1}} m] $m [expr {$h < 1}]`,
+	`set e 1e3; list [expr {$e + 1}] [expr {$e * 2 > 1999}] [expr {$e % 7}]`,
+	`set p 9007199254740993; set q 9007199254740992; list [expr {$p > $q}] [expr {$p == $q}] [expr {$p != $q}] [expr {$p - $q}] [expr {$p >= $q + 1}]`,
+	`set a 007; list [expr {$a}] [expr {+$a}] [expr {$a + 0}] [expr {-$a}] [expr {$a * 1 eq "7"}]`,
+	`set i 0; while {$i * 2 < 10} { incr i }; set i`,
+	`set i 0; set n 5; while {$i < $n} { incr i }; list $i [expr {$i == $n}] [expr {$i != $n}]`,
+	`set a 3; set u {}; catch {expr {$a + $u}} m; set m`,
+	`set a 3; catch {expr {$a + $nope}} m; set m`,
+	`set a 150; set b 250; list [expr {$a + $b}] [expr {$a - $b}] [expr {$a * $b}] [expr {$b / $a}]`,
+	`proc f {} { global g; expr {$g * 2} }; set g 21; f`,
+	`proc f {v} { upvar 1 $v x; expr {$x * 3} }; set t 14; f t`,
 	// Parse errors.
 	`set x {unclosed`,
 	`set x "unclosed`,

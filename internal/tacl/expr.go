@@ -32,7 +32,7 @@ func evalExpr(in *Interp, src string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("expr %q: %w", src, err)
 	}
-	return v.text(), nil
+	return in.exprText(v), nil
 }
 
 // evalExprDirect is the original parse-and-evaluate-in-one-pass evaluator:
@@ -52,21 +52,25 @@ func evalExprDirect(in *Interp, src string) (string, error) {
 }
 
 // exprVal is an expression operand: a number, a string, or both (strings
-// that look numeric are promoted on demand).
+// that look numeric are promoted on demand). An operator's result is a
+// number whose text is rendered only when read (lazy): the intermediates of
+// `($a * 31 + $b) % 65521` are never formatted. Read the text through
+// text(), never s directly, unless the value is known not to be numeric.
 type exprVal struct {
 	s     string
-	isInt bool
 	i     int64
-	isFlt bool
 	f     float64
+	isInt bool
+	isFlt bool
+	lazy  bool // s is unset: the text is the canonical rendering of i or f
 }
 
 func numVal(i int64) exprVal {
-	return exprVal{s: strconv.FormatInt(i, 10), isInt: true, i: i, isFlt: true, f: float64(i)}
+	return exprVal{isInt: true, i: i, isFlt: true, f: float64(i), lazy: true}
 }
 
 func fltVal(f float64) exprVal {
-	return exprVal{s: formatFloat(f), isFlt: true, f: f}
+	return exprVal{isFlt: true, f: f, lazy: true}
 }
 
 func strVal(s string) exprVal {
@@ -129,7 +133,24 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-func (v exprVal) text() string { return v.s }
+func (v exprVal) text() string {
+	if !v.lazy {
+		return v.s
+	}
+	if v.isInt {
+		return strconv.FormatInt(v.i, 10)
+	}
+	return formatFloat(v.f)
+}
+
+// exprText is text() for an expression's final result: integers render
+// through the interpreter's arena (see intText).
+func (in *Interp) exprText(v exprVal) string {
+	if v.lazy && v.isInt {
+		return in.intText(v.i)
+	}
+	return v.text()
+}
 
 func (v exprVal) truthy() (bool, error) {
 	if v.isFlt {

@@ -308,19 +308,19 @@ func (n *callNode) eval(in *Interp) (exprVal, error) {
 func applyEquality(op string, left, right exprVal) exprVal {
 	switch op {
 	case "eq":
-		return boolVal(left.s == right.s)
+		return boolVal(left.text() == right.text())
 	case "ne":
-		return boolVal(left.s != right.s)
+		return boolVal(left.text() != right.text())
 	case "==":
 		if left.isFlt && right.isFlt {
 			return boolVal(left.f == right.f)
 		}
-		return boolVal(left.s == right.s)
+		return boolVal(left.text() == right.text())
 	default: // "!="
 		if left.isFlt && right.isFlt {
 			return boolVal(left.f != right.f)
 		}
-		return boolVal(left.s != right.s)
+		return boolVal(left.text() != right.text())
 	}
 }
 
@@ -338,7 +338,7 @@ func applyRelational(op string, left, right exprVal) exprVal {
 			res = left.f >= right.f
 		}
 	} else {
-		c := strings.Compare(left.s, right.s)
+		c := strings.Compare(left.text(), right.text())
 		switch op {
 		case "<":
 			res = c < 0
@@ -681,4 +681,217 @@ func (p *exprParser) compileFuncCall(name string) (exprNode, error) {
 		}
 	}
 	return &callNode{name: name, args: args}, nil
+}
+
+// --- integer programs ---
+
+// intProg is an integer-only operator tree flattened to a postfix program
+// over int64: leaves are slot variables and integer constants, operators
+// are unary minus, + - * / %, and the relational and ==/!= comparisons,
+// which compare as float64 exactly as applyRelational and applyEquality do
+// when both sides are numeric. It is built once per compiled expression and
+// reproduces the AST's value on every input it accepts; run reports a miss
+// — scope not bound to layout or diverted, a leaf unset or not a plain
+// integer, a zero divisor — and the caller then walks the generic AST,
+// which owns every error text and every non-integer edge. Leaves are pure
+// reads, so abandoning a run part-way has no effect to undo.
+type intProg struct {
+	ops    []intOp
+	layout *program
+}
+
+type intOp struct {
+	code uint8
+	slot int32 // iopSlot: variable slot in layout
+	k    int64 // iopConst: the constant
+}
+
+const (
+	iopConst uint8 = iota
+	iopSlot
+	iopNeg
+	iopAdd
+	iopSub
+	iopMul
+	iopDiv
+	iopMod
+	iopLT
+	iopLE
+	iopGT
+	iopGE
+	iopEq
+	iopNe
+)
+
+// maxIntStack bounds an integer program's operand stack, which lives in a
+// fixed array on run's frame; deeper trees keep the generic AST.
+const maxIntStack = 8
+
+// compileIntProg returns root's integer program, or nil when root is not an
+// operator tree over slot variables of layout and integer constants. A bare
+// leaf never qualifies: `expr {$a}` yields the variable's text verbatim
+// ("007" stays "007"), while every operator yields a canonical number.
+func compileIntProg(root exprNode, layout *program) *intProg {
+	switch root.(type) {
+	case *constNode, *slotVarNode:
+		return nil
+	}
+	b := intBuilder{prog: &intProg{layout: layout}}
+	if !b.emit(root) || b.max > maxIntStack {
+		return nil
+	}
+	return b.prog
+}
+
+type intBuilder struct {
+	prog       *intProg
+	depth, max int
+}
+
+func (b *intBuilder) op(o intOp, delta int) {
+	b.prog.ops = append(b.prog.ops, o)
+	b.depth += delta
+	b.max = max(b.max, b.depth)
+}
+
+func (b *intBuilder) binary(l, r exprNode, code uint8) bool {
+	if !b.emit(l) || !b.emit(r) {
+		return false
+	}
+	b.op(intOp{code: code}, -1)
+	return true
+}
+
+func (b *intBuilder) emit(n exprNode) bool {
+	switch x := n.(type) {
+	case *constNode:
+		if !x.v.isInt {
+			return false
+		}
+		b.op(intOp{code: iopConst, k: x.v.i}, 1)
+	case *slotVarNode:
+		if x.prog != b.prog.layout {
+			return false
+		}
+		b.op(intOp{code: iopSlot, slot: x.slot}, 1)
+	case *negNode:
+		if !b.emit(x.x) {
+			return false
+		}
+		b.op(intOp{code: iopNeg}, 0)
+	case *addNode:
+		code := iopAdd
+		if x.op == '-' {
+			code = iopSub
+		}
+		return b.binary(x.l, x.r, code)
+	case *mulNode:
+		code := iopMul
+		switch x.op {
+		case '/':
+			code = iopDiv
+		case '%':
+			code = iopMod
+		}
+		return b.binary(x.l, x.r, code)
+	case *relNode:
+		code := iopGE
+		switch x.op {
+		case "<":
+			code = iopLT
+		case "<=":
+			code = iopLE
+		case ">":
+			code = iopGT
+		}
+		return b.binary(x.l, x.r, code)
+	case *eqNode:
+		switch x.op {
+		case "==":
+			return b.binary(x.l, x.r, iopEq)
+		case "!=":
+			return b.binary(x.l, x.r, iopNe)
+		}
+		return false // eq/ne compare text
+	default:
+		return false
+	}
+	return true
+}
+
+// run evaluates the program against scope sc; ok=false is a miss (see
+// intProg).
+func (p *intProg) run(sc *varScope) (v int64, ok bool) {
+	if sc.prog != p.layout || sc.diverted {
+		return 0, false
+	}
+	var st [maxIntStack]int64
+	n := 0
+	for i := range p.ops {
+		op := &p.ops[i]
+		switch op.code {
+		case iopConst:
+			st[n] = op.k
+			n++
+			continue
+		case iopSlot:
+			if sc.meta[op.slot]&slotLive == 0 {
+				return 0, false
+			}
+			if st[n], ok = fastAtoi(sc.slots[op.slot]); !ok {
+				return 0, false
+			}
+			n++
+			continue
+		case iopNeg:
+			st[n-1] = -st[n-1]
+			continue
+		}
+		n--
+		l, r := st[n-1], st[n]
+		switch op.code {
+		case iopAdd:
+			l += r
+		case iopSub:
+			l -= r
+		case iopMul:
+			l *= r
+		case iopDiv:
+			if r == 0 {
+				return 0, false
+			}
+			l = floorDiv(l, r)
+		case iopMod:
+			if r == 0 {
+				return 0, false
+			}
+			l = floorMod(l, r)
+		default:
+			l = intRel(op.code, float64(l), float64(r))
+		}
+		st[n-1] = l
+	}
+	return st[0], true
+}
+
+func intRel(code uint8, l, r float64) int64 {
+	var b bool
+	switch code {
+	case iopLT:
+		b = l < r
+	case iopLE:
+		b = l <= r
+	case iopGT:
+		b = l > r
+	case iopGE:
+		b = l >= r
+	case iopEq:
+		b = l == r
+	default: // iopNe
+		b = l != r
+	}
+	if b {
+		return 1
+	}
+	return 0
 }

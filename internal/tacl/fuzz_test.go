@@ -18,9 +18,12 @@ func fuzzRun(src string, engine Engine, script bool) (out, errText string, steps
 		return "1", nil
 	})
 	var err error
-	if script {
+	switch {
+	case script:
 		out, err = in.Eval(src)
-	} else {
+	case engine == EngineVM:
+		out, err = vmExpr(in, src)
+	default:
 		out, err = evalExpr(in, src)
 	}
 	if err != nil {
@@ -28,6 +31,17 @@ func fuzzRun(src string, engine Engine, script bool) (out, errText string, steps
 		errText = err.Error()
 	}
 	return out, errText, in.Steps, probe
+}
+
+// vmExpr evaluates src the way the VM evaluates an inlined expr operand:
+// through a compiled exprRef (constant folding, integer program, lone
+// [cmd] substitution, slot-specialized AST) with the global scope bound to
+// the operand's program, so the fuzzed globals are slot reads.
+func vmExpr(in *Interp, src string) (string, error) {
+	c := newCompiler(nil)
+	ref := c.prog.exprs[c.exprRefIdx(src)]
+	in.bindGlobalScope(c.prog)
+	return vmExprEval(in, ref)
 }
 
 // fuzzCompare runs src under all three engines and fails on any pairwise
@@ -84,6 +98,19 @@ func FuzzCompileEval(f *testing.F) {
 		`. + 1`,
 		`[while {1} {}] + 1`,
 		`[foreach q {a b} {}] eq ""`,
+		// Integer programs and their edges.
+		`($x * 31 + $x) % 65521`,
+		`$x * 1844674407370955161`,
+		`-$x / 2 + -$x % 2 + $x % -3`,
+		`$x / 0`,
+		`$x % (1 - 1)`,
+		`$x == 5 && $x != 4`,
+		`9007199254740993 > 9007199254740992 + $x - $x`,
+		`$x + $y`,
+		`$x * $f < 13`,
+		`-$x`,
+		`$x`,
+		`[return 3] + $x`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -131,6 +158,21 @@ func FuzzVMScript(f *testing.F) {
 		`proc f {x} { upvar 1 $x v; set v 42 }; set t 0; f t; set t`,
 		`proc f {} { set q 1; unset q; info exists q }; f`,
 		`if {[format " %d " 2]} { set r yes }`,
+		// Return paths, recursion depth and integer edges.
+		`proc f {} { while {1} { return 1 } }; f`,
+		`proc f {} { foreach v {a b} { return $v } }; f`,
+		`proc f {} { set q [return in]; set q out }; f`,
+		`proc f {} { expr {[return e]} }; f`,
+		`proc f {} { catch {return c} }; f`,
+		`proc r {n} { r [expr {$n + 1}] }; r 0`,
+		`expr {[return t]}`,
+		`set m 922337203685477580; expr {$m * 10 + 8}`,
+		`set a -7; list [expr {$a / 2}] [expr {$a % 2}]`,
+		`set s " 5 "; expr {$s + 1}`,
+		`set h 0x10; expr {$h + 1}`,
+		`set e 1e3; expr {$e + 1}`,
+		`set p 9007199254740993; expr {$p > $p - 1}`,
+		`set after 0; catch {break} m; set after 1`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -13,7 +14,8 @@ import (
 // the VM is an atomic load plus an array index instead of a per-call map
 // lookup. Per-activation overrides (Interp.Register, as the guard's Bind
 // uses) and script-defined procs still win: the VM checks those maps first,
-// exactly as the tree-walker's dispatch order does. Table.Register
+// exactly as the tree-walker's dispatch order does — the procs map only for
+// symbols some proc definition has marked. Table.Register
 // invalidates every inline cache at once by publishing a new snapshot.
 
 // symbol is an interned command name. Symbols are process-wide and never
@@ -21,6 +23,9 @@ import (
 type symbol struct {
 	name string
 	id   int32
+	// isProc is set once any interpreter defines a proc under this name;
+	// until then static dispatch skips the per-interpreter procs map.
+	isProc atomic.Bool
 }
 
 var symtab = struct {
@@ -253,4 +258,16 @@ func fastFormat(in *Interp, spec string, vals []string) (string, bool) {
 	}
 	in.fmtBuf = buf
 	return in.arena.copyString(buf), true
+}
+
+// intText renders an integer result. 0–99 come from strconv's static table
+// and cost nothing; larger values are formatted into the scratch buffer and
+// copied into the arena, so a hot arithmetic loop allocates one page per
+// ~thousand results instead of one string per result.
+func (in *Interp) intText(n int64) string {
+	if n >= 0 && n < 100 {
+		return strconv.FormatInt(n, 10)
+	}
+	in.fmtBuf = strconv.AppendInt(in.fmtBuf[:0], n, 10)
+	return in.arena.copyString(in.fmtBuf)
 }

@@ -87,6 +87,12 @@ type Interp struct {
 	// canonState.
 	canonState *tableState
 	canonMask  uint16
+	// retVal carries the value of the return in flight (see errReturn).
+	retVal string
+	// procsUnmarked is set when a proc was defined under a name the symbol
+	// table could not intern, so no symbol carries its proc bit and static
+	// dispatch must consult procs for every name (see dispatchStatic).
+	procsUnmarked bool
 	// nextYield is the smallest step count at which the yield cadence
 	// could fire, derived from Steps/YieldEvery the last time the VM took
 	// chargeStep's slow path. Steps below it provably have
@@ -99,9 +105,41 @@ type Interp struct {
 type CmdFunc func(in *Interp, args []string) (string, error)
 
 type procDef struct {
-	name   string
+	name string
+	body *Script
+	sig  *procSig
+}
+
+// procSig is a proc's parsed parameter list plus each parameter's slot in
+// the body's compiled layout (-1: the name lives in the frame map), so
+// binding a call's arguments is an array store per parameter, not a name
+// lookup. Immutable once built and shared through the body Script: an agent
+// that defines the same proc in every activation parses and resolves its
+// parameters once per process.
+type procSig struct {
+	spec   string
 	params []procParam
-	body   *Script
+	layout *program // body.compiled() at resolution; nil when it failed
+	slots  []int32
+}
+
+// newProcSig parses spec and resolves its parameters against body's
+// compiled layout.
+func newProcSig(spec string, body *Script) (*procSig, error) {
+	params, err := parseParams(spec)
+	if err != nil {
+		return nil, err
+	}
+	sig := &procSig{spec: spec, params: params, layout: body.compiled(), slots: make([]int32, len(params))}
+	for i := range params {
+		sig.slots[i] = -1
+		if sig.layout != nil {
+			if j, ok := sig.layout.varIdx[params[i].name]; ok {
+				sig.slots[i] = j
+			}
+		}
+	}
+	return sig, nil
 }
 
 type procParam struct {
@@ -181,17 +219,22 @@ func (sc *varScope) slotOf(name string) int32 {
 	return -1
 }
 
-// localSet writes a variable directly into frame f's own storage (slot when
-// the bound layout knows the name, map otherwise) without alias resolution.
-// Only for fresh frames — callProc's parameter binding, where no links can
-// exist yet.
-func (f *frame) localSet(name, value string) {
-	if i := f.slotOf(name); i >= 0 {
+// setParam binds parameter pi of sig in a fresh frame (no links can exist
+// yet): into its slot when the frame is bound to sig's resolved layout,
+// by name otherwise.
+func (f *frame) setParam(sig *procSig, pi int, value string) {
+	i := int32(-1)
+	if f.prog == sig.layout {
+		i = sig.slots[pi]
+	} else {
+		i = f.slotOf(sig.params[pi].name)
+	}
+	if i >= 0 {
 		f.slots[i] = value
 		f.meta[i] = slotLive
 		return
 	}
-	f.vars[name] = value
+	f.vars[sig.params[pi].name] = value
 }
 
 // varRef names a variable in another scope: frame == nil means globals.
@@ -224,9 +267,11 @@ var (
 	errContinue = errors.New("tacl: continue outside loop")
 )
 
-type returnSignal struct{ value string }
-
-func (r *returnSignal) Error() string { return "tacl: return outside proc" }
+// errReturn is the signal return raises. Its value travels on
+// Interp.retVal, so the signal itself is one preallocated sentinel and a
+// proc return allocates nothing; callProc takes the value. Its text is what
+// a return outside any proc reports.
+var errReturn = errors.New("tacl: return outside proc")
 
 // jumpSignal aborts script execution after a successful migration; the
 // kernel's jump command raises it so no code after jump runs at the origin.
@@ -237,8 +282,7 @@ func (j *jumpSignal) Error() string { return "tacl: agent jumped to " + j.dest }
 // IsJump reports whether err is the post-migration stop signal and, if so,
 // the destination site.
 func IsJump(err error) (string, bool) {
-	var js *jumpSignal
-	if errors.As(err, &js) {
+	if js, ok := signalOf(err).(*jumpSignal); ok {
 		return js.dest, true
 	}
 	return "", false
@@ -258,8 +302,7 @@ func (p *parkSignal) Error() string { return "tacl: agent parked as " + p.name }
 // IsPark reports whether err is the post-park stop signal and, if so, the
 // park name.
 func IsPark(err error) (string, bool) {
-	var ps *parkSignal
-	if errors.As(err, &ps) {
+	if ps, ok := signalOf(err).(*parkSignal); ok {
 		return ps.name, true
 	}
 	return "", false
@@ -410,7 +453,9 @@ func trimMapStr(m map[string]string) map[string]string {
 	if len(m) > maxPooledVars {
 		return make(map[string]string, 8)
 	}
-	clear(m)
+	if len(m) > 0 {
+		clear(m)
+	}
 	return m
 }
 
@@ -455,6 +500,8 @@ func Put(in *Interp) {
 	in.table = nil
 	in.canonState = nil
 	in.canonMask = 0
+	in.retVal = ""
+	in.procsUnmarked = false
 	in.nextYield = 0
 	in.MaxSteps = 0
 	in.Steps = 0
@@ -662,13 +709,34 @@ func decorate(err error, name string, line int) error {
 	return fmt.Errorf("tacl: line %d: %s: %w", line, name, err)
 }
 
+// isControl reports whether err is a control signal rather than an error:
+// break and continue by exact identity (a break wrapped by expr's %w is an
+// ordinary error), return, jump and park anywhere in the wrap chain. Control
+// signals are never decorated and never trapped by catch — a caught park
+// would keep running an agent whose continuation is already stored.
 func isControl(err error) bool {
-	if err == errBreak || err == errContinue {
-		return true
+	return err == errBreak || err == errContinue || signalOf(err) != nil
+}
+
+// signalOf walks err's Unwrap chain for a return, jump or park signal and
+// returns it, or nil. Type checks only: classifying an error allocates
+// nothing, where errors.As targets escape to the heap.
+func signalOf(err error) error {
+	for err != nil {
+		switch err.(type) {
+		case *jumpSignal, *parkSignal:
+			return err
+		}
+		if err == errReturn {
+			return err
+		}
+		u, ok := err.(interface{ Unwrap() error })
+		if !ok {
+			return nil
+		}
+		err = u.Unwrap()
 	}
-	var rs *returnSignal
-	var js *jumpSignal
-	return errors.As(err, &rs) || errors.As(err, &js)
+	return nil
 }
 
 func (in *Interp) evalWord(w *word) (string, error) {
@@ -853,7 +921,7 @@ func (in *Interp) putFrame(f *frame) {
 	f.vars = trimMapStr(f.vars)
 	if len(f.global) > maxPooledVars {
 		f.global = make(map[string]bool)
-	} else {
+	} else if len(f.global) > 0 {
 		clear(f.global)
 	}
 	f.aliases = nil
@@ -883,25 +951,26 @@ func (in *Interp) callProc(p *procDef, args []string, line int) (string, error) 
 			f.bind(pb)
 		}
 	}
+	sig := p.sig
 	i := 0
-	for pi, param := range p.params {
+	for pi, param := range sig.params {
 		switch {
 		case param.variadic:
-			f.localSet(param.name, FormatList(args[i:]))
+			f.setParam(sig, pi, FormatList(args[i:]))
 			i = len(args)
 		case i < len(args):
-			f.localSet(param.name, args[i])
+			f.setParam(sig, pi, args[i])
 			i++
 		case param.hasDef:
-			f.localSet(param.name, param.def)
+			f.setParam(sig, pi, param.def)
 		default:
 			in.putFrame(f)
-			return "", fmt.Errorf("tacl: line %d: proc %q missing argument %q", line, p.name, p.params[pi].name)
+			return "", fmt.Errorf("tacl: line %d: proc %q missing argument %q", line, p.name, param.name)
 		}
 	}
 	if i < len(args) {
 		in.putFrame(f)
-		return "", fmt.Errorf("tacl: line %d: proc %q given %d args, takes %d", line, p.name, len(args), len(p.params))
+		return "", fmt.Errorf("tacl: line %d: proc %q given %d args, takes %d", line, p.name, len(args), len(sig.params))
 	}
 
 	in.frames = append(in.frames, f)
@@ -911,14 +980,15 @@ func (in *Interp) callProc(p *procDef, args []string, line int) (string, error) 
 	}()
 
 	res, err := in.EvalScript(p.body)
-	var rs *returnSignal
 	switch {
 	case err == nil:
 		return res, nil
-	case errors.As(err, &rs):
-		return rs.value, nil
 	case err == errBreak || err == errContinue:
 		return "", fmt.Errorf("tacl: %v escaped proc %q", err, p.name)
+	case signalOf(err) == errReturn:
+		v := in.retVal
+		in.retVal = ""
+		return v, nil
 	default:
 		return "", err
 	}

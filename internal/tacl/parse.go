@@ -71,6 +71,7 @@ type Script struct {
 
 	prog atomic.Pointer[program] // compiled bytecode, nil until first VM run
 	noVM atomic.Bool             // sticky compile failure: tree-walk forever
+	sig  atomic.Pointer[procSig] // last parameter list this script was a proc body for
 }
 
 // Source returns the original text the script was parsed from.

@@ -133,8 +133,18 @@ func ParseList(s string) ([]string, error) {
 				return nil, fmt.Errorf("tacl: list element in quotes followed by %q", s[i])
 			}
 		default:
-			var sb strings.Builder
+			// A bare element without backslashes is its own source text.
 			j := i
+			for j < n && !isSpace(s[j]) && s[j] != '\\' {
+				j++
+			}
+			if j == n || isSpace(s[j]) {
+				elems = append(elems, s[i:j])
+				i = j
+				continue
+			}
+			var sb strings.Builder
+			j = i
 			for j < n && !isSpace(s[j]) {
 				if s[j] == '\\' && j+1 < n {
 					j++

@@ -2,7 +2,6 @@ package tacl
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -292,19 +291,14 @@ func (in *Interp) runVM(p *program) (string, error) {
 // name-and-line frame to non-control errors — the exact composition the
 // nested tree-walk builtins produce. Cold path.
 func (p *program) recoverErr(in *Interp, pc int, err error) (int, int, error) {
-	var hits []int
+	// Regions are stored innermost first (see sortRegions), so walking them
+	// in order and skipping those not containing pc visits exactly the
+	// enclosing regions from the inside out, with no per-error allocation.
 	for i := range p.regions {
 		r := &p.regions[i]
-		if int32(pc) >= r.start && int32(pc) < r.end {
-			hits = append(hits, i)
+		if int32(pc) < r.start || int32(pc) >= r.end {
+			continue
 		}
-	}
-	sort.Slice(hits, func(a, b int) bool {
-		ra, rb := &p.regions[hits[a]], &p.regions[hits[b]]
-		return ra.end-ra.start < rb.end-rb.start
-	})
-	for _, i := range hits {
-		r := &p.regions[i]
 		switch {
 		case r.isLoop:
 			// Exact sentinel identity, as the tree-walk loops test: a
@@ -370,7 +364,7 @@ func (in *Interp) vmIncrSlot(p *program, sc *varScope, slotOK bool, op *vmOp) (s
 		if perr != nil {
 			return "", decorate(fmt.Errorf("expected integer in %q, got %q", name, cur), "incr", int(op.line))
 		}
-		v := strconv.FormatInt(n+int64(op.c), 10)
+		v := in.intText(n + int64(op.c))
 		sc.slots[op.b] = v
 		sc.meta[op.b] = slotLive
 		return v, nil
@@ -385,10 +379,12 @@ func (in *Interp) vmIncrSlot(p *program, sc *varScope, slotOK bool, op *vmOp) (s
 // dispatchStatic calls a symbol-resolved command with the tree-walker's
 // dispatch order: procs, per-interp overrides, then the table snapshot's
 // dense array (map fallback covers symbols interned after the snapshot was
-// built). Proc and control errors propagate raw; command errors get the
+// built). A symbol no proc definition has marked cannot name a proc, so
+// host and builtin calls skip hashing into procs. Proc and control errors
+// propagate raw; command errors get the
 // name-and-line decoration evalCommand applies.
 func (in *Interp) dispatchStatic(sym *symbol, args []string, line int) (string, error) {
-	if in.procs != nil {
+	if in.procs != nil && (sym.isProc.Load() || in.procsUnmarked) {
 		if pd, ok := in.procs[sym.name]; ok {
 			return in.callProc(pd, args, line)
 		}
@@ -447,9 +443,10 @@ func (in *Interp) vmCondEval(ref *exprRef) (bool, error) {
 	if ref.isConst {
 		return ref.constTruthy, ref.constTruthyErr
 	}
-	if ref.fastKind >= fastLT && ref.fastKind <= fastGE {
-		if li, ok := in.fastExprOperand(ref); ok {
-			return fastExprRel(ref.fastKind, li, ref.fastConst), nil
+	if ref.ints != nil {
+		// An integer's text is truthy exactly when the integer is nonzero.
+		if v, ok := ref.ints.run(in.curScope()); ok {
+			return v != 0, nil
 		}
 	}
 	// Truthiness always goes through Truthy on the result TEXT — not
@@ -463,39 +460,30 @@ func (in *Interp) vmCondEval(ref *exprRef) (bool, error) {
 }
 
 // vmExprEval mirrors evalExpr for a precompiled operand: folded constant,
-// fast slot-op form, compiled AST with the standard "expr %q" wrap, or the
-// reference string-walking evaluator when compilation failed.
+// integer program, lone [cmd] substitution, compiled AST with the standard
+// "expr %q" wrap, or the reference string-walking evaluator when
+// compilation failed.
 func vmExprEval(in *Interp, ref *exprRef) (string, error) {
 	if ref.isConst {
 		return ref.constVal, nil
 	}
-	if ref.fastKind != fastNone {
-		if ref.fastKind == fastCmdSub {
-			var res string
-			var err error
-			if !in.noVM && !in.direct {
-				res, err = in.runVM(ref.fastCmd.prog)
-			} else {
-				res, err = in.EvalScript(ref.fastCmd.body)
-			}
-			if err != nil {
-				return "", fmt.Errorf("expr %q: %w", ref.src, err)
-			}
-			return res, nil
+	if ref.ints != nil {
+		if v, ok := ref.ints.run(in.curScope()); ok {
+			return in.intText(v), nil
 		}
-		if li, ok := in.fastExprOperand(ref); ok {
-			switch ref.fastKind {
-			case fastAdd:
-				return strconv.FormatInt(li+ref.fastConst, 10), nil
-			case fastSub:
-				return strconv.FormatInt(li-ref.fastConst, 10), nil
-			default:
-				if fastExprRel(ref.fastKind, li, ref.fastConst) {
-					return "1", nil
-				}
-				return "0", nil
-			}
+	}
+	if ref.cmd != nil {
+		var res string
+		var err error
+		if !in.noVM && !in.direct {
+			res, err = in.runVM(ref.cmd.prog)
+		} else {
+			res, err = in.EvalScript(ref.cmd.body)
 		}
+		if err != nil {
+			return "", fmt.Errorf("expr %q: %w", ref.src, err)
+		}
+		return res, nil
 	}
 	if ref.prog == nil {
 		return evalExprDirect(in, ref.src)
@@ -504,33 +492,5 @@ func vmExprEval(in *Interp, ref *exprRef) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("expr %q: %w", ref.src, err)
 	}
-	return v.text(), nil
-}
-
-// fastExprOperand reads an exprRef fast form's slot operand as an integer.
-// ok=false on any precondition miss (scope not bound to the ref's program,
-// diverted, slot not live, or a value fastAtoi can't take), sending the
-// caller to the generic AST for identical handling of every edge.
-func (in *Interp) fastExprOperand(ref *exprRef) (int64, bool) {
-	sc := in.curScope()
-	if sc.prog != ref.fastProg || sc.diverted || sc.meta[ref.fastSlot]&slotLive == 0 {
-		return 0, false
-	}
-	return fastAtoi(sc.slots[ref.fastSlot])
-}
-
-// fastExprRel compares as float64, exactly like applyRelational's numeric
-// arm (both operands of a taken fast path are numeric by construction).
-func fastExprRel(kind uint8, l, r int64) bool {
-	lf, rf := float64(l), float64(r)
-	switch kind {
-	case fastLT:
-		return lf < rf
-	case fastLE:
-		return lf <= rf
-	case fastGT:
-		return lf > rf
-	default:
-		return lf >= rf
-	}
+	return in.exprText(v), nil
 }
