@@ -66,6 +66,7 @@ func runEquiv(src string, engine Engine, maxSteps int) equivResult {
 		probe++
 		return strconv.Itoa(probe), nil
 	})
+	registerShadowers(in)
 	out, err := in.Eval(src)
 	r := equivResult{out: out, steps: in.Steps, hooks: hooks, puts: buf.String()}
 	if err != nil {
@@ -78,6 +79,23 @@ func runEquiv(src string, engine Engine, maxSteps int) equivResult {
 		r.isBudget = errors.Is(err, ErrBudget)
 	}
 	return r
+}
+
+// registerShadowers adds the host commands the corpus uses to shadow an
+// inlined construct with a per-interp override: `shadow NAME` makes NAME
+// return "shadowed:" and its argument count, `shadowbreak NAME` makes it
+// raise break.
+func registerShadowers(in *Interp) {
+	in.Register("shadow", func(in *Interp, args []string) (string, error) {
+		in.Register(args[0], func(_ *Interp, a []string) (string, error) {
+			return "shadowed:" + strconv.Itoa(len(a)), nil
+		})
+		return "", nil
+	})
+	in.Register("shadowbreak", func(in *Interp, args []string) (string, error) {
+		in.Register(args[0], func(*Interp, []string) (string, error) { return "", errBreak })
+		return "", nil
+	})
 }
 
 // equivCorpus exercises the full builtin set through both engines.
@@ -284,6 +302,53 @@ var equivCorpus = []string{
 	`set a 150; set b 250; list [expr {$a + $b}] [expr {$a - $b}] [expr {$a * $b}] [expr {$b / $a}]`,
 	`proc f {} { global g; expr {$g * 2} }; set g 21; f`,
 	`proc f {v} { upvar 1 $v x; expr {$x * 3} }; set t 14; f t`,
+	// Shadowed constructs: a proc or a per-interp override named like an
+	// inlined construct takes every call, including one compiled before
+	// the redefinition.
+	`proc if {args} { return "if:[llength $args]" }; if {1} { set r a } else { set r b }`,
+	`proc while {c b} { return "w:$c" }; set i 0; while {$i < 3} { incr i }`,
+	`proc for {args} { return "for:[llength $args]" }; for {set i 0} {$i < 3} {incr i} {}`,
+	`proc foreach {v l b} { return "fe:$v:$l" }; foreach x {a b} { set y $x }`,
+	`proc foreach {v l b} { return "fe:$l" }; set L {1 2}; foreach x $L { set y $x }`,
+	`proc foreach {v l b} { return "fe:$l" }; foreach x [probe][probe] { set y $x }`,
+	`proc expr {args} { return "e:[join $args ,]" }; expr {1 + 2}`,
+	`proc set {n args} { return "s:$n:$args" }; set x 5`,
+	`proc set {n args} { return "s:$n" }; set x [probe]; probe`,
+	`proc incr {n args} { return "i:$n:$args" }; list [incr x] [incr x 5]`,
+	`shadow while; set i 0; while {$i < 3} { incr i }`,
+	`shadow if; if {1} { set r a }`,
+	`shadow set; list [set x 1] [info exists x]`,
+	`shadow incr; list [incr x 2] [info exists x]`,
+	`shadow expr; expr {1 + 1}`,
+	`shadow foreach; foreach x {a b} { probe }; probe`,
+	`shadow for; for {set i 0} {$i < 2} {incr i} { probe }; probe`,
+	`set r {}; foreach k {1 2 3} { lappend r [expr {$k + 1}]; if {$k == 1} { proc expr {args} { return E } } }; set r`,
+	`set r {}; foreach k {1 2 3} { lappend r [set k]; if {$k == 2} { shadow set } }; set r`,
+	`set n 0; foreach k {1 2 3} { incr n; if {$k == 2} { proc incr {args} { return skip } } }; set n`,
+	`proc set {n v} { return $v }; catch {set x $nosuch} m; set m`,
+	`proc set {n v} { return $v }; catch {set x [error boom]} m; set m`,
+	`proc foreach {v l b} { return ok }; catch {foreach x $nosuch {}} m; set m`,
+	`proc while {c b} { error "w failed" }; catch {while {1} {}} m; set m`,
+	`proc expr {args} { error "e failed" }; catch {expr {1}} m; set m`,
+	`shadowbreak while; set n 0; foreach k {1 2 3} { incr n; while {1} {} }; set n`,
+	`shadowbreak if; set n 0; foreach k {1 2 3} { incr n; if {1} {} }; set n`,
+	`shadowbreak set; set n 0; foreach k {1 2 3} { incr n; set y 1 }; set n`,
+	`proc set {n v} { return $v }; proc done {} { return d }; foreach k {1 2 3} { set y [break] }; done`,
+	`proc foreach {v l b} { return $l }; set n 0; while {$n < 5} { incr n; foreach x [continue] {} }; set n`,
+	// Multi-segment words: substitutions concatenated left to right, an
+	// unset variable mid-word stopping the word, break and continue from
+	// inside a word inside a loop, and the depth limit through a word.
+	`set x 1; set y a$x[string length abc]b; set y`,
+	`set x 1; list pre$x$x post[probe][probe] "$x-[probe]-$x"`,
+	`catch {set y a$nosuch[probe]b} m; list $m [probe]`,
+	`set r {}; foreach k {1 2 3} { lappend r x[if {$k == 2} break]y$k }; set r`,
+	`set r {}; foreach k {1 2 3} { lappend r x[if {$k == 2} continue]y$k }; set r`,
+	`set y a[foreach q {1 2} { break }]b; set y`,
+	`set r {}; lappend r p q r[while {1} { break }]s t; set r`,
+	`set r {}; foreach k {1 2} { lappend r a$k[foreach q {x y} { if {$q eq "y"} break; probe }]b }; set r`,
+	`proc r {n} { return x[r [expr {$n + 1}]]y }; catch {r 0} m; set m`,
+	`proc r {n} { if {$n > 5} { return $n }; return <[r [expr {$n + 1}]]> }; r 0`,
+	`set x 1; set y "a $x [probe] b"; set y`,
 	// Parse errors.
 	`set x {unclosed`,
 	`set x "unclosed`,
@@ -316,6 +381,9 @@ func TestCompiledEquivalenceBudget(t *testing.T) {
 		`while {1} {}`,
 		`for {set i 0} {1} {} {}`,
 		`foreach x {a b c d e f g h} {}; set x`,
+		`proc while {c b} { return w }; set i 0; while {$i < 3} { incr i }; while {1} {}`,
+		`shadow set; for {set i 0} {1} {incr i} { set x a$i[set y]b }`,
+		`set r {}; foreach k {1 2 3 4 5 6 7 8 9} { lappend r a$k[probe]b }; set r`,
 	}
 	for _, src := range srcs {
 		for _, budget := range []int{1, 7, 50, 333} {

@@ -111,6 +111,9 @@ func FuzzCompileEval(f *testing.F) {
 		`-$x`,
 		`$x`,
 		`[return 3] + $x`,
+		`[set a 5] +`,
+		`[probe] + [probe] @`,
+		`$nosuchvar +`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -173,6 +176,15 @@ func FuzzVMScript(f *testing.F) {
 		`set e 1e3; expr {$e + 1}`,
 		`set p 9007199254740993; expr {$p > $p - 1}`,
 		`set after 0; catch {break} m; set after 1`,
+		// Shadowed constructs and multi-segment words.
+		`proc while {c b} { return w }; while {$x < 9} { incr x }`,
+		`proc set {n v} { return $v }; set q a$x[probe]b`,
+		`proc foreach {v l b} { return $l }; foreach q $y { probe }`,
+		`proc expr {args} { return e }; list [expr {1 + 2}] [if {1} { expr 3 }]`,
+		`foreach k {1 2 3} { lappend r x[if {$k == 2} break]$k }; set r`,
+		`set q a$nosuch[probe]b`,
+		`proc r {n} { return x[r [expr {$n + 1}]]y }; r 0`,
+		`catch {expr {[set a 5] +}} m; list [info exists a] $m`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

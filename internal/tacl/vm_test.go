@@ -22,8 +22,9 @@ type vmEdgeResult struct {
 	jumpDest string
 	isPark   bool
 	parkName string
-	isBudget bool
-	hostRuns int
+	isBudget   bool
+	isSentinel bool
+	hostRuns   int
 }
 
 func runVMEdge(src string, engine Engine, maxSteps int) vmEdgeResult {
@@ -53,6 +54,12 @@ func runVMEdge(src string, engine Engine, maxSteps int) vmEdgeResult {
 		hostRuns++
 		return in.EvalCached(args[0])
 	})
+	// frozen returns a sentinel wrapped the way the kernel's folder
+	// commands wrap folder.ErrFrozen: the chain must survive every layer.
+	in.Register("frozen", func(*Interp, []string) (string, error) {
+		return "", fmt.Errorf("push %q: %w", "LOCKED", errEdgeSentinel)
+	})
+	registerShadowers(in)
 	out, err := in.Eval(src)
 	r := vmEdgeResult{out: out, steps: in.Steps, hostRuns: hostRuns}
 	if err != nil {
@@ -65,9 +72,12 @@ func runVMEdge(src string, engine Engine, maxSteps int) vmEdgeResult {
 			r.isPark, r.parkName = true, n
 		}
 		r.isBudget = errors.Is(err, ErrBudget)
+		r.isSentinel = errors.Is(err, errEdgeSentinel)
 	}
 	return r
 }
+
+var errEdgeSentinel = errors.New("folder is frozen")
 
 var vmEdgeCorpus = []string{
 	// Jump raised from a proc called inside nested loops.
@@ -108,6 +118,21 @@ while {$i < 20} { hosteval {set t 1; set t 2; set t 3; set t 4}; set i [expr $i 
 	// Errors inside the host-run script keep their text through both layers.
 	`hosteval {set}`,
 	`hosteval {while {1} {}}`,
+	// A host command's wrapped sentinel raised from inside an inlined while
+	// keeps its identity and gains the construct's frame.
+	`set i 0
+while {$i < 3} { frozen; incr i }`,
+	`set i 0
+while {$i < 3} { set x [frozen]; incr i }`,
+	// Shadowed constructs and multi-segment words under the budget ladder.
+	`proc while {c b} { return w }
+set i 0
+foreach k {1 2 3} { while {$i < 3} { incr i }; set y a$k[hosteval {set q 1}]b }`,
+	`shadow foreach
+set i 0
+while {$i < 4} { incr i; foreach x {a b} { hosteval {set t 1} }; set z $i[hosteval {set q 2}] }`,
+	`set i 0
+while {1} { incr i; set w x$i[if {$i == 5} { park p5 }]y }`,
 }
 
 func TestVMEdgeSemantics(t *testing.T) {
