@@ -113,11 +113,6 @@ type SiteConfig struct {
 	// (see SetDurable) before the site serves its first call, so no meet
 	// is ever acknowledged without its durability barrier.
 	Durable CommitSyncer
-	// TaclEngine pins agent scripts to a TacL execution engine. The zero
-	// value is the bytecode VM; tests pin tacl.EngineAST or
-	// tacl.EngineReference to check the engines against each other through
-	// the full host-command path.
-	TaclEngine tacl.Engine
 }
 
 // defaultMaxSteps bounds runaway agents when the site does not configure a
@@ -699,6 +694,24 @@ func (s *Site) remoteMeet(ctx context.Context, dest vnet.SiteID, agent string, b
 // the network); short runnable activations go through the scheduler's
 // worker pool instead via Async meets and parked-agent wakeups.
 func (s *Site) Go(fn func()) { s.sched.Spawn(fn) }
+
+// DetachTimeout bounds a detached shipment (ShipDetached): work its
+// launcher did not wait for outlives the launcher's context, but not
+// forever.
+const DetachTimeout = time.Minute
+
+// ShipDetached runs ship on its own goroutine, as Go does, with a context
+// that keeps ctx's values but not its cancellation, and expires after
+// DetachTimeout: a launcher that hangs up or times out does not recall the
+// agents it sent away.
+func (s *Site) ShipDetached(ctx context.Context, ship func(ctx context.Context)) {
+	ctx = context.WithoutCancel(ctx)
+	s.Go(func() {
+		ctx, cancel := context.WithTimeout(ctx, DetachTimeout)
+		defer cancel()
+		ship(ctx)
+	})
+}
 
 // Message kinds on the wire.
 const (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -88,10 +89,10 @@ func agRexec(mc *MeetContext, bc *folder.Briefcase) error {
 	if detach {
 		shipped := bc.Clone()
 		site := mc.Site
-		site.Go(func() {
+		site.ShipDetached(mc.Ctx, func(ctx context.Context) {
 			// Background shipment: failures surface only in the site's
 			// cabinet log, exactly like a lost letter.
-			if err := site.RemoteMeet(mc.Ctx, vnet.SiteID(host), contact, shipped); err != nil {
+			if err := site.RemoteMeet(ctx, vnet.SiteID(host), contact, shipped); err != nil {
 				site.Cabinet().AppendString("LOG", "rexec detach: "+err.Error())
 			}
 		})
@@ -127,8 +128,8 @@ func agCourier(mc *MeetContext, bc *folder.Briefcase) error {
 
 	if bc.Has(DetachFolder) {
 		site := mc.Site
-		site.Go(func() {
-			if err := site.RemoteMeet(mc.Ctx, vnet.SiteID(host), contact, parcel); err != nil {
+		site.ShipDetached(mc.Ctx, func(ctx context.Context) {
+			if err := site.RemoteMeet(ctx, vnet.SiteID(host), contact, parcel); err != nil {
 				site.Cabinet().AppendString("LOG", "courier: "+err.Error())
 			}
 		})

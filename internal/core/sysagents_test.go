@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/folder"
+	"repro/internal/vnet"
 )
 
 func TestAgTaclRunsCode(t *testing.T) {
@@ -535,5 +536,31 @@ func TestRunScriptJumpReportsSuccess(t *testing.T) {
 	}
 	if got := f.Strings()[0]; got != "site-1" {
 		t.Fatalf("WHERE = %q", got)
+	}
+}
+
+// TestDetachedSpawnOutlivesLauncher pins that detached shipments do not
+// ride on their launcher's context: an agent spawns clones at two sites,
+// the launcher hangs up as soon as the meet returns, and both clones still
+// run. The links hold each shipment for a while, so the hang-up lands
+// before either clone leaves.
+func TestDetachedSpawnOutlivesLauncher(t *testing.T) {
+	sys := NewSystem(3, SystemConfig{})
+	for _, dst := range []vnet.SiteID{"site-1", "site-2"} {
+		sys.Net.SetFaults("site-0", dst, vnet.Faults{Delay: 100 * time.Millisecond})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := RunScript(ctx, sys.SiteAt(0),
+		`if {[host] eq "site-0"} { spawn site-1; spawn site-2 } else { cab_append RAN [host] }`, nil)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Wait()
+	for _, id := range []vnet.SiteID{"site-1", "site-2"} {
+		if n := sys.Site(id).Cabinet().FolderLen("RAN"); n != 1 {
+			t.Errorf("%s: clone ran %d times, want 1; log %v", id, n,
+				sys.SiteAt(0).Cabinet().Snapshot("LOG").Strings())
+		}
 	}
 }

@@ -52,7 +52,6 @@ func runTacL(mc *MeetContext, bc *folder.Briefcase, src string) error {
 		return err
 	}
 	in := tacl.Get(site.taclTable)
-	in.SetEngine(site.cfg.TaclEngine)
 	in.MaxSteps = site.cfg.MaxSteps
 	// Scripted activations run on scheduler pool workers (async meets,
 	// parked-agent resumes) as well as caller goroutines; yielding between

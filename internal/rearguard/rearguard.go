@@ -277,8 +277,10 @@ func (m *Manager) Launch(ctx context.Context, cfg Config, payload *folder.Briefc
 		bc.PutString(guardHopFolder, "0")
 		m.arm(cfg.ID, 0, first, bc.Clone())
 	}
+	// The first move outlives the launcher's context: Launch returns at
+	// once, and the caller waits on the channel, not on ctx.
 	site := m.site
-	site.Go(func() {
+	site.ShipDetached(ctx, func(ctx context.Context) {
 		if err := site.RemoteMeet(ctx, first, AgHop, bc.Clone()); err != nil && !cfg.Guards {
 			// Without guards a failed initial move is simply a lost agent.
 			return

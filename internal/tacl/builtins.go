@@ -707,8 +707,9 @@ func cmdString(in *Interp, args []string) (string, error) {
 		if err != nil || n < 0 {
 			return "", fmt.Errorf("bad count %q", rest[1])
 		}
-		if n*len(rest[0]) > 1<<24 {
-			return "", errors.New("string repeat result too large")
+		// Compare without multiplying: n*len overflows for a hostile n.
+		if len(rest[0]) > 0 && n > maxRepeatBytes/len(rest[0]) {
+			return "", fmt.Errorf("string repeat %w", ErrTooLarge)
 		}
 		return strings.Repeat(rest[0], n), nil
 	case "equal":

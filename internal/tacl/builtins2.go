@@ -174,12 +174,17 @@ func cmdLrepeat(in *Interp, args []string) (string, error) {
 	if err != nil || n < 0 {
 		return "", fmt.Errorf("lrepeat: bad count %q", args[0])
 	}
-	if n*len(args[1:]) > 1<<20 {
-		return "", errors.New("lrepeat: result too large")
+	elems := args[1:]
+	if len(elems) == 0 {
+		return "", nil
 	}
-	out := make([]string, 0, n*len(args[1:]))
+	// Compare without multiplying: n*len overflows for a hostile n.
+	if n > maxRepeatElems/len(elems) {
+		return "", fmt.Errorf("lrepeat: %w", ErrTooLarge)
+	}
+	out := make([]string, 0, n*len(elems))
 	for i := 0; i < n; i++ {
-		out = append(out, args[1:]...)
+		out = append(out, elems...)
 	}
 	return FormatList(out), nil
 }

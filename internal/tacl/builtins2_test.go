@@ -1,6 +1,8 @@
 package tacl
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -282,5 +284,34 @@ func TestUplevelNestedCallsPreserveFrames(t *testing.T) {
 	`)
 	if got != "precious" {
 		t.Fatalf("mine = %q", got)
+	}
+}
+
+// TestRepeatCountOverflow pins the size checks of string repeat and
+// lrepeat against counts whose product with the length overflows int: a
+// typed error, never a runtime panic.
+func TestRepeatCountOverflow(t *testing.T) {
+	for _, src := range []string{
+		`string repeat abcd 4611686018427387904`,
+		`string repeat ab 9223372036854775807`,
+		`string repeat ab 8388609`,
+		`lrepeat 4611686018427387904 a b c d`,
+		`lrepeat 9223372036854775807 x y`,
+		`lrepeat 524289 x y`,
+	} {
+		_, err := New().Eval(src)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%q: err = %v, want ErrTooLarge", src, err)
+		}
+	}
+	for src, want := range map[string]int{
+		`string length [string repeat ab 8388608]`:             1 << 24,
+		`llength [lrepeat 524288 x y]`:                         1 << 20,
+		`llength [lrepeat 9223372036854775807]`:                0,
+		`string length [string repeat {} 9223372036854775807]`: 0,
+	} {
+		if got, err := New().Eval(src); err != nil || got != strconv.Itoa(want) {
+			t.Errorf("%q = %q, %v; want %d", src, got, err, want)
+		}
 	}
 }

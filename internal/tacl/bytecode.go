@@ -2,6 +2,7 @@ package tacl
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,19 +10,22 @@ import (
 
 // Bytecode compiler. A parsed Script is lowered once into a flat register
 // IR: a []vmOp stream with pooled constants, precompiled expressions,
-// interned command symbols, and inlined control flow. The VM in vm.go
-// executes the stream; the tree-walker in interp.go remains the reference
-// the IR must be observationally identical to (results, error text, step
-// accounting, side-effect order, jump/park semantics — pinned by the
-// three-way equivalence suite and fuzz targets).
+// interned command symbols, and inlined control flow. The VM in vm.go is
+// the only engine that executes scripts; a script that does not compile
+// (too large, or a compiler fault) fails with ErrCompile before any of its
+// commands run. The package tests keep a string-walking reference
+// interpreter as the oracle the IR must be observationally identical to
+// (results, error text, step accounting, side-effect order, jump/park
+// semantics — pinned by the equivalence suite and fuzz targets).
 //
-// Inlining policy: if/while/for/foreach/expr are flattened into the op
-// stream only when the relevant words are braced literals (the universal
-// idiom); each inlined construct is preceded by a guard op that falls back
-// to generic dispatch when the name is shadowed by a proc, a per-interp
-// override, or a non-canonical table entry, so redefinition semantics are
-// preserved exactly. Anything else — including malformed construct grammar,
-// whose error text the builtins own — compiles to a generic call.
+// Inlining policy: if/while/for/foreach/expr/set/incr are flattened into
+// the op stream only when the relevant words are braced literals (the
+// universal idiom); each inlined construct is preceded by a guard op and a
+// generic call of the same command, which runs instead of the inline code
+// when the name is shadowed by a proc, a per-interp override, or a
+// non-canonical table entry, so redefinition semantics are preserved
+// exactly. Anything else — including malformed construct grammar, whose
+// error text the builtins own — compiles to a generic call.
 
 // Opcodes. a/b/c index the program's pools or are pc targets; line is the
 // source line for step charging and error decoration.
@@ -30,11 +34,12 @@ const (
 	opArgConst                 // push consts[a]
 	opArgVar                   // push variable named consts[a]
 	opArgScript                // push result of scripts[a] ([cmd] substitution)
-	opArgWord                  // push result of multi-segment words[a]
+	opConcat                   // pop a values, push their concatenation (multi-segment word)
 	opCall                     // static call syms[a] with top b args
 	opCallConst                // static call syms[b] with argLists[a] (all-const args)
 	opCallDyn                  // dynamic call, top a words (args[0] is the name)
-	opGuard                    // inline guard: if canon kind shadowed, run cmds[c] generically, jump b
+	opGuard                    // inline guard: unless canon kind is shadowed, jump b (the inline code)
+	opCallShadow               // generic call of a shadowed construct: argLists[a], word c (if >= 0) popped
 	opJump                     // jump to a
 	opCondJump                 // eval exprs[a]; mark slot c (if >=0); jump b when false
 	opLoopBottom               // charge step at line if slot a marked no progress; jump b
@@ -59,14 +64,15 @@ type vmOp struct {
 	d    int32 // variable slot for opForeachNext (-1 = none)
 }
 
-// exprRef is a precompiled expression operand. prog == nil means the source
-// failed expression compilation and the VM falls back to the reference
-// string-walking evaluator at runtime (same rule as evalExpr). Pure
-// expressions are folded at compile time; folding never captures errors, so
-// a constant erroring expression still evaluates (and errors) at runtime.
+// exprRef is a precompiled expression operand. A malformed source keeps its
+// compile error in err, and evaluating it returns that error without
+// running any operand (the same rule as evalExpr). Pure expressions are
+// folded at compile time; folding never captures errors, so a constant
+// erroring expression still evaluates (and errors) at runtime.
 type exprRef struct {
 	src            string
 	prog           *exprProg
+	err            error
 	isConst        bool
 	constVal       string
 	constTruthy    bool
@@ -84,15 +90,14 @@ type exprRef struct {
 // region describes error-handling extents of the op stream. Loop regions
 // intercept break/continue raised anywhere in the loop body (including from
 // nested [cmd] substitution); decor regions add the construct's
-// name-and-line frame to non-control errors, mirroring what evalCommand's
-// decorate call does around each tree-walked builtin. Regions are properly
+// name-and-line frame to non-control errors, mirroring the decoration
+// dispatch adds around each builtin call. Regions are properly
 // nested, so the innermost region containing a pc is the smallest.
 type region struct {
 	start, end int32 // [start, end) op index range
 	isLoop     bool
 	// isDepth marks an inlined [cmd] substitution: an error propagating out
-	// of the region undoes the opDepth increment, exactly as the
-	// tree-walker's evalWord decrements depth before returning an error.
+	// of the region undoes the opDepth increment.
 	isDepth bool
 	name    string
 	line    int32
@@ -111,9 +116,7 @@ type program struct {
 	consts   []string
 	exprs    []*exprRef
 	syms     []*symbol
-	words    []*word
 	scripts  []*Script
-	cmds     []*command
 	argLists [][]string
 	regions  []region
 	numSlots int // loop state slots (marks / foreach lists)
@@ -141,67 +144,53 @@ const (
 	maxVarSlots = 128
 )
 
-var errProgramTooLarge = errors.New("tacl: script too large for bytecode")
+// ErrCompile reports a script the bytecode compiler refused: a program
+// past maxProgramOps (a hostile agent, not a use case) or a compiler fault.
+// The script fails before any of its commands run.
+var ErrCompile = errors.New("tacl: script does not compile")
 
 // compiled returns the script's bytecode program, compiling on first use.
-// Compile failure is sticky: the script permanently falls back to the
-// tree-walker, which is observationally identical.
-func (s *Script) compiled() *program {
+// The first program published wins, so a proc's resolved parameter slots
+// (procSig.layout) always index the program its calls run. A compile error
+// is not remembered: the error path is never hot.
+func (s *Script) compiled() (*program, error) {
 	if p := s.prog.Load(); p != nil {
-		return p
+		return p, nil
 	}
-	if s.noVM.Load() {
-		return nil
-	}
-	p, err := compileProgram(s)
+	p, err := compileProgram(s, nil)
 	if err != nil {
-		s.noVM.Store(true)
-		return nil
+		return nil, err
 	}
-	s.prog.Store(p)
-	return p
+	if !s.prog.CompareAndSwap(nil, p) {
+		p = s.prog.Load()
+	}
+	return p, nil
 }
 
 // Precompile lowers the script to bytecode ahead of its first execution, so
 // cache layers can pay compilation at insert time instead of on the first
-// activation's critical path. Safe to call concurrently and more than once.
-func (s *Script) Precompile() { s.compiled() }
+// activation's critical path. Safe to call concurrently and more than once;
+// a compile error surfaces when the script runs.
+func (s *Script) Precompile() { _, _ = s.compiled() }
 
-func compileProgram(s *Script) (p *program, err error) {
-	// A compiler bug must degrade to the (identical) tree-walker, never
-	// take down the site.
+// compileProgram lowers s against layout's variable slots, or a fresh
+// layout of its own when layout is nil. A [cmd]-substitution body inside an
+// expression compiles against the enclosing program's layout, so its slot
+// ops index the very scope its parent binds.
+func compileProgram(s *Script, layout *program) (p *program, err error) {
+	// A compiler fault fails the script loudly, never the site.
 	defer func() {
 		if r := recover(); r != nil {
-			p, err = nil, errProgramTooLarge
-		}
-	}()
-	c := newCompiler(nil)
-	c.compileCmds(s.cmds)
-	if len(c.prog.ops) > maxProgramOps {
-		return nil, errProgramTooLarge
-	}
-	c.prog.sortRegions()
-	return c.prog, nil
-}
-
-// compileProgramShared compiles a [cmd]-substitution body against the
-// enclosing program's variable layout, so the body's slot ops index the
-// very scope its parent binds — the nested activation keeps the slot fast
-// path instead of dropping to name resolution. Fails soft (nil) and the
-// caller keeps the generic cmdNode.
-func compileProgramShared(s *Script, layout *program) (p *program) {
-	defer func() {
-		if r := recover(); r != nil {
-			p = nil
+			p, err = nil, fmt.Errorf("%w: compiler fault: %v", ErrCompile, r)
 		}
 	}()
 	c := newCompiler(layout)
 	c.compileCmds(s.cmds)
 	if len(c.prog.ops) > maxProgramOps {
-		return nil
+		return nil, fmt.Errorf("%w: program exceeds %d ops", ErrCompile, maxProgramOps)
 	}
 	c.prog.sortRegions()
-	return c.prog
+	return c.prog, nil
 }
 
 // sortRegions orders the region table innermost first, the order recoverErr
@@ -271,19 +260,9 @@ func (c *compiler) symRef(s *symbol) int32 {
 	return i
 }
 
-func (c *compiler) wordRef(w *word) int32 {
-	c.prog.words = append(c.prog.words, w)
-	return int32(len(c.prog.words) - 1)
-}
-
 func (c *compiler) scriptRef(s *Script) int32 {
 	c.prog.scripts = append(c.prog.scripts, s)
 	return int32(len(c.prog.scripts) - 1)
-}
-
-func (c *compiler) cmdRef(cmd *command) int32 {
-	c.prog.cmds = append(c.prog.cmds, cmd)
-	return int32(len(c.prog.cmds) - 1)
 }
 
 func (c *compiler) argListRef(args []string) int32 {
@@ -322,7 +301,9 @@ func (c *compiler) exprRefIdx(src string) int32 {
 		return i
 	}
 	ref := &exprRef{src: src}
-	if p, err := compileExprCached(src); err == nil {
+	if p, err := compileExprCached(src); err != nil {
+		ref.err = fmt.Errorf("expr %q: %w", src, err)
+	} else {
 		ref.prog = p
 		if exprPure(p.root) {
 			if v, err2 := p.root.eval(nil); err2 == nil {
@@ -331,7 +312,7 @@ func (c *compiler) exprRefIdx(src string) int32 {
 				ref.constTruthy, ref.constTruthyErr = Truthy(ref.constVal)
 			}
 		} else if root, changed := c.specializeExpr(p.root); changed {
-			// The shared cached AST stays untouched (EngineAST keeps using
+			// The shared cached AST stays untouched (evalExpr keeps using
 			// it); this program gets a private clone whose varNodes read
 			// their slot directly when the program's scope is current.
 			ref.prog = &exprProg{root: root}
@@ -356,8 +337,8 @@ func (c *compiler) specializeExpr(n exprNode) (exprNode, bool) {
 			return &slotVarNode{name: x.name, prog: c.prog.layout, slot: i}, true
 		}
 	case *cmdNode:
-		if p2 := compileProgramShared(x.body, c.prog.layout); p2 != nil {
-			return &slotCmdNode{body: x.body, prog: p2}, true
+		if p2, err := compileProgram(x.body, c.prog.layout); err == nil {
+			return &slotCmdNode{prog: p2}, true
 		}
 	case *notNode:
 		if y, ch := c.specializeExpr(x.x); ch {
@@ -557,61 +538,85 @@ func (c *compiler) compileCommand(cmd *command) {
 	c.emit(vmOp{code: opCallDyn, line: line, a: int32(len(cmd.words))})
 }
 
+// compileArg pushes one word's value. A multi-segment word pushes each
+// segment and joins them with opConcat; the segments already pushed count
+// as pending arguments for any loop inlined in a later segment.
 func (c *compiler) compileArg(w *word) {
 	if len(w.segs) == 1 {
-		seg := &w.segs[0]
-		switch seg.kind {
-		case segLit:
-			c.emit(vmOp{code: opArgConst, a: c.constRef(seg.text)})
-			return
-		case segVar:
-			if slot := c.varRef(seg.text); slot >= 0 {
-				c.emit(vmOp{code: opLoadSlot, a: c.constRef(seg.text), b: slot})
-			} else {
-				c.emit(vmOp{code: opArgVar, a: c.constRef(seg.text)})
-			}
-			return
-		case segCmd:
-			// Inline the substitution's commands into this program: the hot
-			// `set v [host_cmd ...]` shape then costs zero nested VM entries.
-			// The depth ops reproduce evalWord's recursion accounting, and
-			// the depth region undoes it on the error path.
-			if c.inline < maxInlineDepth {
-				c.inline++
-				start := c.emit(vmOp{code: opDepth})
-				if len(seg.script.cmds) == 0 {
-					c.emit(vmOp{code: opResult, a: c.constRef("")})
-				} else {
-					c.compileCmds(seg.script.cmds)
-				}
-				end := c.pc()
-				c.emit(vmOp{code: opArgResult})
-				c.inline--
-				c.addRegion(region{start: start, end: end, isDepth: true})
-				return
-			}
+		c.compileSeg(&w.segs[0])
+		return
+	}
+	saved := c.pendingArgs
+	for i := range w.segs {
+		c.compileSeg(&w.segs[i])
+		c.pendingArgs++
+	}
+	c.pendingArgs = saved
+	c.emit(vmOp{code: opConcat, a: int32(len(w.segs))})
+}
+
+func (c *compiler) compileSeg(seg *segment) {
+	switch seg.kind {
+	case segLit:
+		c.emit(vmOp{code: opArgConst, a: c.constRef(seg.text)})
+	case segVar:
+		if slot := c.varRef(seg.text); slot >= 0 {
+			c.emit(vmOp{code: opLoadSlot, a: c.constRef(seg.text), b: slot})
+		} else {
+			c.emit(vmOp{code: opArgVar, a: c.constRef(seg.text)})
+		}
+	case segCmd:
+		// Inline the substitution's commands into this program: the hot
+		// `set v [host_cmd ...]` shape then costs zero nested VM entries.
+		// The depth ops account the substitution as one level of nesting,
+		// and the depth region undoes it on the error path.
+		if c.inline >= maxInlineDepth {
 			c.emit(vmOp{code: opArgScript, a: c.scriptRef(seg.script)})
 			return
 		}
+		c.inline++
+		start := c.emit(vmOp{code: opDepth})
+		if len(seg.script.cmds) == 0 {
+			c.emit(vmOp{code: opResult, a: c.constRef("")})
+		} else {
+			c.compileCmds(seg.script.cmds)
+		}
+		end := c.pc()
+		c.emit(vmOp{code: opArgResult})
+		c.inline--
+		c.addRegion(region{start: start, end: end, isDepth: true})
 	}
-	c.emit(vmOp{code: opArgWord, a: c.wordRef(w)})
 }
 
-// emitGuard emits the shadow check preceding an inlined construct; the
-// guard's jump-over target is patched by the caller. The check itself is
-// the interpreter's cached canon mask (see Interp.cmdShadowed), so no
-// symbol is needed — only the canon kind and the original command for the
-// generic fallback.
-func (c *compiler) emitGuard(cmd *command, kind uint8) int32 {
-	return c.emit(vmOp{
-		code: opGuard, kind: kind, line: int32(cmd.line), c: c.cmdRef(cmd),
-	})
+// emitGuard emits the shadow check of an inlined construct and, behind it,
+// the generic call that runs instead when the name is shadowed (see
+// Interp.cmdShadowed): the command's words as constants, except word dyn
+// (>= 0), which the caller compiled before the guard and the call pops, so
+// no word is compiled twice. An unshadowed construct jumps from the guard
+// straight to the inline code that follows. The returned jump leaves the
+// generic call; the caller points it at the construct's end.
+func (c *compiler) emitGuard(cmd *command, kind uint8, dyn int32) int32 {
+	g := c.emit(vmOp{code: opGuard, kind: kind})
+	args := make([]string, len(cmd.words))
+	for i := range cmd.words {
+		if int32(i) != dyn {
+			args[i], _ = constWord(&cmd.words[i])
+		}
+	}
+	c.emit(vmOp{code: opCallShadow, line: int32(cmd.line), a: c.argListRef(args), c: dyn})
+	exit := c.emit(vmOp{code: opJump})
+	c.patchB(g, c.pc())
+	return exit
 }
+
+// patchExit points a guard's exit jump at the construct's end.
+func (c *compiler) patchExit(exit, end int32) { c.prog.ops[exit].a = end }
 
 // trySet inlines the two-argument `set name value` when the target name is
 // a static literal with a slot: the value word compiles as an ordinary
-// argument and opStoreSlot moves it into the slot. One-argument reads and
-// dynamic names keep generic dispatch.
+// argument ahead of the guard, as every word is evaluated before its
+// command is looked up, and opStoreSlot moves it into the slot. One-argument
+// reads and dynamic names keep generic dispatch.
 func (c *compiler) trySet(cmd *command) bool {
 	if len(cmd.words) != 3 {
 		return false
@@ -624,10 +629,10 @@ func (c *compiler) trySet(cmd *command) bool {
 	if slot < 0 {
 		return false
 	}
-	g := c.emitGuard(cmd, kindSet)
 	c.compileArg(&cmd.words[2])
+	exit := c.emitGuard(cmd, kindSet, 2)
 	c.emit(vmOp{code: opStoreSlot, line: int32(cmd.line), a: c.constRef(name), b: slot})
-	c.patchB(g, c.pc())
+	c.patchExit(exit, c.pc())
 	return true
 }
 
@@ -658,9 +663,9 @@ func (c *compiler) tryIncr(cmd *command) bool {
 	if slot < 0 {
 		return false
 	}
-	g := c.emitGuard(cmd, kindIncr)
+	exit := c.emitGuard(cmd, kindIncr, -1)
 	c.emit(vmOp{code: opIncrSlot, line: int32(cmd.line), a: c.constRef(name), b: slot, c: int32(delta)})
-	c.patchB(g, c.pc())
+	c.patchExit(exit, c.pc())
 	return true
 }
 
@@ -670,9 +675,9 @@ func (c *compiler) tryExpr(cmd *command) bool {
 		return false
 	}
 	src := strings.Join(args[1:], " ")
-	g := c.emitGuard(cmd, kindExpr)
+	exit := c.emitGuard(cmd, kindExpr, -1)
 	c.emit(vmOp{code: opExpr, line: int32(cmd.line), a: c.exprRefIdx(src)})
-	c.patchB(g, c.pc())
+	c.patchExit(exit, c.pc())
 	return true
 }
 
@@ -689,7 +694,7 @@ func (c *compiler) tryWhile(cmd *command) bool {
 	if err != nil {
 		return false // generic call reproduces the parse error
 	}
-	g := c.emitGuard(cmd, kindWhile)
+	sh := c.emitGuard(cmd, kindWhile, -1)
 	slot := c.newSlot()
 	line := int32(cmd.line)
 	top := c.pc()
@@ -703,7 +708,7 @@ func (c *compiler) tryWhile(cmd *command) bool {
 	exit := c.emit(vmOp{code: opResult, a: c.constRef("")})
 	end := c.pc()
 	c.patchB(cj, exit)
-	c.patchB(g, end)
+	c.patchExit(sh, end)
 	c.addRegion(region{start: bodyStart, end: bodyEnd, isLoop: true, breakPC: exit, contPC: bot, scratch: c.pendingArgs})
 	c.addRegion(region{start: top, end: exit, name: "while", line: line})
 	return true
@@ -733,7 +738,7 @@ func (c *compiler) tryFor(cmd *command) bool {
 	if err != nil {
 		return false
 	}
-	g := c.emitGuard(cmd, kindFor)
+	sh := c.emitGuard(cmd, kindFor, -1)
 	slot := c.newSlot()
 	line := int32(cmd.line)
 	c.inline++
@@ -751,7 +756,7 @@ func (c *compiler) tryFor(cmd *command) bool {
 	exit := c.emit(vmOp{code: opResult, a: c.constRef("")})
 	end := c.pc()
 	c.patchB(cj, exit)
-	c.patchB(g, end)
+	c.patchExit(sh, end)
 	c.addRegion(region{start: bodyStart, end: bodyEnd, isLoop: true, breakPC: exit, contPC: stepStart, scratch: c.pendingArgs})
 	c.addRegion(region{start: initStart, end: exit, name: "for", line: line})
 	return true
@@ -770,13 +775,13 @@ func (c *compiler) tryForeach(cmd *command) bool {
 	if err != nil {
 		return false
 	}
-	g := c.emitGuard(cmd, kindForeach)
+	// The list word may be dynamic: it is evaluated once, before the guard,
+	// for whichever arm runs. Word errors stay undecorated, so it sits
+	// outside the decor region.
+	c.compileArg(&cmd.words[2])
+	sh := c.emitGuard(cmd, kindForeach, 2)
 	slot := c.newSlot()
 	line := int32(cmd.line)
-	// The list word may be dynamic; its evaluation errors stay undecorated
-	// (word-eval errors are raw in the tree-walker), so it sits outside the
-	// decor region.
-	c.compileArg(&cmd.words[2])
 	initPC := c.emit(vmOp{code: opForeachInit, line: line, a: slot})
 	top := c.emit(vmOp{code: opForeachNext, line: line, a: slot, c: c.constRef(varName), d: c.varRef(varName)})
 	c.inline++
@@ -788,7 +793,7 @@ func (c *compiler) tryForeach(cmd *command) bool {
 	exit := c.emit(vmOp{code: opResult, a: c.constRef("")})
 	end := c.pc()
 	c.patchB(top, exit)
-	c.patchB(g, end)
+	c.patchExit(sh, end)
 	c.addRegion(region{start: bodyStart, end: bodyEnd, isLoop: true, breakPC: exit, contPC: bot, scratch: c.pendingArgs})
 	c.addRegion(region{start: initPC, end: exit, name: "foreach", line: line})
 	return true
@@ -840,7 +845,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 			break
 		}
 	}
-	g := c.emitGuard(cmd, kindIf)
+	sh := c.emitGuard(cmd, kindIf, -1)
 	line := int32(cmd.line)
 	start := c.pc()
 	emptyIdx := c.constRef("")
@@ -870,7 +875,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 	for _, j := range endJumps {
 		c.prog.ops[j].a = end
 	}
-	c.patchB(g, end)
+	c.patchExit(sh, end)
 	c.addRegion(region{start: start, end: end, name: "if", line: line})
 	return true
 }

@@ -4,22 +4,32 @@ import (
 	"bytes"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// The equivalence suite pins all three execution engines to each other:
-// the bytecode VM (default), the compiled-AST tree-walker (EngineAST), and
-// the reference string-walking interpreter (EngineReference). Same results,
-// same error text, same step counts, same StepHook billing, same puts
-// output, same jump/budget behavior — any pairwise divergence fails.
+// The equivalence suite pins the bytecode VM to the reference interpreter
+// (reference_test.go). Same results, same error text, same step counts,
+// same StepHook billing, same puts output, same jump/budget behavior — any
+// divergence fails.
 
+// allEngines are the two ways a script runs in the differential suites.
 var allEngines = []struct {
-	name   string
-	engine Engine
+	name string
+	ref  bool
 }{
-	{"vm", EngineVM},
-	{"ast", EngineAST},
-	{"reference", EngineReference},
+	{"vm", false},
+	{"reference", true},
+}
+
+// newEngine returns an interpreter running the VM, or the reference
+// interpreter when ref is set.
+func newEngine(ref bool) *Interp {
+	in := New()
+	if ref {
+		useReference(in)
+	}
+	return in
 }
 
 type equivResult struct {
@@ -35,9 +45,8 @@ type equivResult struct {
 	isBudget bool
 }
 
-func runEquiv(src string, engine Engine, maxSteps int) equivResult {
-	in := New()
-	in.SetEngine(engine)
+func runEquiv(src string, ref bool, maxSteps int) equivResult {
+	in := newEngine(ref)
 	in.MaxSteps = maxSteps
 	hooks := 0
 	in.StepHook = func() error { hooks++; return nil }
@@ -152,11 +161,13 @@ var equivCorpus = []string{
 	`expr {(1 + 2}`,
 	`expr {}`,
 	`catch {expr {1 / 0}} msg; set msg`,
-	// Malformed expressions with side-effecting operands: compilation
-	// fails, and the fallback to the reference evaluator must preserve
-	// the side effects (a=5), step counts, and error text exactly.
+	// Malformed expressions with side-effecting operands are compile
+	// errors (Tcl 8's rule): no operand runs, so a stays unset and probe
+	// never fires (TestMalformedExprRunsNothing pins the values).
 	`catch {expr {[set a 5] +}} msg; list [catch {set a} r] $r $msg`,
 	`catch {expr {[probe] + [probe] @}} msg; list $msg [probe]`,
+	`catch {if {[probe] +} {}} msg; list $msg [probe]`,
+	`catch {while {$nosuch @} {}} msg; set msg`,
 	// Control flow.
 	`set r {}; if {1 < 2} { set r then } else { set r else }; set r`,
 	`set r {}; if {1 > 2} { set r a } elseif {2 > 1} { set r b } else { set r c }; set r`,
@@ -314,6 +325,8 @@ var equivCorpus = []string{
 	`proc expr {args} { return "e:[join $args ,]" }; expr {1 + 2}`,
 	`proc set {n args} { return "s:$n:$args" }; set x 5`,
 	`proc set {n args} { return "s:$n" }; set x [probe]; probe`,
+	`list [set x [proc set args { return s }]] [info exists x]`,
+	`list [foreach x [proc foreach args { return f }] { set y 1 }] [info exists y]`,
 	`proc incr {n args} { return "i:$n:$args" }; list [incr x] [incr x 5]`,
 	`shadow while; set i 0; while {$i < 3} { incr i }`,
 	`shadow if; if {1} { set r a }`,
@@ -358,18 +371,16 @@ var equivCorpus = []string{
 
 func TestCompiledEquivalence(t *testing.T) {
 	for _, src := range equivCorpus {
-		ref := runEquiv(src, EngineReference, 10000)
-		for _, e := range allEngines[:2] {
-			if got := runEquiv(src, e.engine, 10000); got != ref {
-				t.Errorf("divergence on %q:\n  %-9s %+v\n  reference %+v", src, e.name+":", got, ref)
-			}
+		want := runEquiv(src, true, 10000)
+		if got := runEquiv(src, false, 10000); got != want {
+			t.Errorf("divergence on %q:\n  vm:       %+v\n  reference %+v", src, got, want)
 		}
 	}
 }
 
-// TestCompiledEquivalenceBudget pins ErrBudget behavior: the compiled path
-// must exhaust the same budget after the same number of steps and hook
-// calls as the reference path, and catch must not trap it in either.
+// TestCompiledEquivalenceBudget pins ErrBudget behavior: the VM must exhaust
+// the same budget after the same number of steps and hook calls as the
+// reference interpreter, and catch must not trap it in either.
 func TestCompiledEquivalenceBudget(t *testing.T) {
 	srcs := []string{
 		`set i 0; while {$i < 10000} { incr i }`,
@@ -387,13 +398,69 @@ func TestCompiledEquivalenceBudget(t *testing.T) {
 	}
 	for _, src := range srcs {
 		for _, budget := range []int{1, 7, 50, 333} {
-			ref := runEquiv(src, EngineReference, budget)
-			for _, e := range allEngines[:2] {
-				if got := runEquiv(src, e.engine, budget); got != ref {
-					t.Errorf("budget %d divergence on %q:\n  %-9s %+v\n  reference %+v",
-						budget, src, e.name+":", got, ref)
-				}
+			want := runEquiv(src, true, budget)
+			if got := runEquiv(src, false, budget); got != want {
+				t.Errorf("budget %d divergence on %q:\n  vm:       %+v\n  reference %+v",
+					budget, src, got, want)
 			}
+		}
+	}
+}
+
+// TestMalformedExprRunsNothing pins Tcl 8's rule on both engines: a
+// malformed expression fails to compile before any operand runs, so the
+// operand's side effect never happens and only the enclosing commands bill
+// a step.
+func TestMalformedExprRunsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		src     string
+		steps   int
+		errText string
+	}{
+		{`expr {[set a 5] +}`, 1, `tacl: line 1: expr: expr "[set a 5] +": unexpected end of expression`},
+		{`set r [expr {[set a 5] + }]`, 2, `tacl: line 1: expr: expr "[set a 5] + ": unexpected end of expression`},
+		{`if {[set a 5] @} {}`, 1, `tacl: line 1: if: expr "[set a 5] @": trailing garbage at 10`},
+		{`while {[set a 5] +} {}`, 1, `tacl: line 1: while: expr "[set a 5] +": unexpected end of expression`},
+		{`expr {[set a 5] + [set a 6] + (}`, 1, `tacl: line 1: expr: expr "[set a 5] + [set a 6] + (": unexpected end of expression`},
+	} {
+		for _, e := range allEngines {
+			in := newEngine(e.ref)
+			_, err := in.Eval(tc.src)
+			if err == nil || err.Error() != tc.errText {
+				t.Errorf("%s: %q: err = %v, want %q", e.name, tc.src, err, tc.errText)
+			}
+			if _, ok := in.Global("a"); ok {
+				t.Errorf("%s: %q: an operand of a malformed expression ran", e.name, tc.src)
+			}
+			if in.Steps != tc.steps {
+				t.Errorf("%s: %q: %d steps, want %d", e.name, tc.src, in.Steps, tc.steps)
+			}
+		}
+	}
+}
+
+// TestOversizedScriptRunsNothing pins that a script past the compiler's
+// program cap fails with ErrCompile before any of its commands runs, at
+// top level and as a proc body.
+func TestOversizedScriptRunsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parses and compiles a 1 MiB script four times")
+	}
+	// Each command is two ops (a step and a constant call).
+	big := "set ran 1\n" + strings.Repeat("a\n", maxProgramOps/2)
+	for _, e := range allEngines {
+		in := newEngine(e.ref)
+		_, err := in.Eval(big)
+		if !errors.Is(err, ErrCompile) || in.Steps != 0 {
+			t.Errorf("%s: top level: err = %v after %d steps, want ErrCompile after 0", e.name, err, in.Steps)
+		}
+		in.SetGlobal("body", big)
+		_, err = in.Eval(`proc big {} $body`)
+		if !errors.Is(err, ErrCompile) || in.Steps != 1 {
+			t.Errorf("%s: proc body: err = %v after %d steps, want ErrCompile after 1", e.name, err, in.Steps)
+		}
+		if _, ok := in.Global("ran"); ok {
+			t.Errorf("%s: a command of an oversized script ran", e.name)
 		}
 	}
 }

@@ -10,45 +10,23 @@ import (
 
 // evalExpr evaluates a TacL expression. Like Tcl's expr, it performs its
 // own $variable and [command] substitution, so conditions can be passed in
-// braces and re-evaluated on every loop iteration. The hot path compiles
-// the expression once (through the shared cache) and walks the AST; the
-// string-walking evaluator below remains as the reference implementation
-// the equivalence suite and fuzz target compare against.
+// braces and re-evaluated on every loop iteration. The expression compiles
+// once (through the shared cache) and evaluation walks the AST. As in Tcl
+// 8, a malformed expression is a compile error: no operand runs, so none
+// bills a step or leaves a side effect.
 func evalExpr(in *Interp, src string) (string, error) {
-	if in.direct {
-		return evalExprDirect(in, src)
+	if in.oracle != nil {
+		return in.oracle.evalExpr(in, src)
 	}
 	prog, err := compileExprCached(src)
 	if err != nil {
-		// Compilation failed: run the reference evaluator instead, so a
-		// malformed expression behaves exactly as it always did — operands
-		// before the syntax error still evaluate (and bill steps, and leave
-		// their side effects) in the original order, and the error text is
-		// the original one. The error path is never hot, so re-scanning is
-		// fine.
-		return evalExprDirect(in, src)
+		return "", fmt.Errorf("expr %q: %w", src, err)
 	}
 	v, err := prog.root.eval(in)
 	if err != nil {
 		return "", fmt.Errorf("expr %q: %w", src, err)
 	}
 	return in.exprText(v), nil
-}
-
-// evalExprDirect is the original parse-and-evaluate-in-one-pass evaluator:
-// it re-scans the source on every call. Kept as the semantic reference for
-// the compiled path (see exprc.go and the equivalence tests).
-func evalExprDirect(in *Interp, src string) (string, error) {
-	p := &exprParser{in: in, src: src}
-	v, err := p.parseTernary()
-	if err != nil {
-		return "", fmt.Errorf("expr %q: %w", src, err)
-	}
-	p.skipWS()
-	if p.pos < len(p.src) {
-		return "", fmt.Errorf("expr %q: trailing garbage at %d", src, p.pos)
-	}
-	return v.text(), nil
 }
 
 // exprVal is an expression operand: a number, a string, or both (strings
@@ -166,8 +144,8 @@ func (v exprVal) needNum() error {
 	return nil
 }
 
+// exprParser scans expression source for compileExpr.
 type exprParser struct {
-	in  *Interp
 	src string
 	pos int
 }
@@ -196,173 +174,6 @@ func (p *exprParser) peekOp(ops ...string) string {
 	return ""
 }
 
-func (p *exprParser) parseTernary() (exprVal, error) {
-	cond, err := p.parseOr()
-	if err != nil {
-		return exprVal{}, err
-	}
-	if p.peekOp("?") == "" {
-		return cond, nil
-	}
-	p.pos++
-	ok, err := cond.truthy()
-	if err != nil {
-		return exprVal{}, err
-	}
-	thenV, err := p.parseTernary()
-	if err != nil {
-		return exprVal{}, err
-	}
-	if p.peekOp(":") == "" {
-		return exprVal{}, errors.New("expected : in ternary")
-	}
-	p.pos++
-	elseV, err := p.parseTernary()
-	if err != nil {
-		return exprVal{}, err
-	}
-	if ok {
-		return thenV, nil
-	}
-	return elseV, nil
-}
-
-func (p *exprParser) parseOr() (exprVal, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return exprVal{}, err
-	}
-	for p.peekOp("||") != "" {
-		p.pos += 2
-		lb, err := left.truthy()
-		if err != nil {
-			return exprVal{}, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return exprVal{}, err
-		}
-		rb, err := right.truthy()
-		if err != nil {
-			return exprVal{}, err
-		}
-		left = boolVal(lb || rb)
-	}
-	return left, nil
-}
-
-func (p *exprParser) parseAnd() (exprVal, error) {
-	left, err := p.parseEquality()
-	if err != nil {
-		return exprVal{}, err
-	}
-	for p.peekOp("&&") != "" {
-		p.pos += 2
-		lb, err := left.truthy()
-		if err != nil {
-			return exprVal{}, err
-		}
-		right, err := p.parseEquality()
-		if err != nil {
-			return exprVal{}, err
-		}
-		rb, err := right.truthy()
-		if err != nil {
-			return exprVal{}, err
-		}
-		left = boolVal(lb && rb)
-	}
-	return left, nil
-}
-
-func (p *exprParser) parseEquality() (exprVal, error) {
-	left, err := p.parseRelational()
-	if err != nil {
-		return exprVal{}, err
-	}
-	for {
-		op := p.peekOp("==", "!=", "eq ", "ne ")
-		if op == "" {
-			// eq/ne at end of string (no trailing space)
-			if p.peekOp("eq", "ne") != "" && p.pos+2 >= len(p.src) {
-				op = p.src[p.pos : p.pos+2]
-			} else {
-				return left, nil
-			}
-		}
-		op = strings.TrimSpace(op)
-		p.pos += len(op)
-		right, err := p.parseRelational()
-		if err != nil {
-			return exprVal{}, err
-		}
-		left = applyEquality(op, left, right)
-	}
-}
-
-func (p *exprParser) parseRelational() (exprVal, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return exprVal{}, err
-	}
-	for {
-		op := p.peekOp("<=", ">=", "<", ">")
-		if op == "" {
-			return left, nil
-		}
-		p.pos += len(op)
-		right, err := p.parseAdditive()
-		if err != nil {
-			return exprVal{}, err
-		}
-		left = applyRelational(op, left, right)
-	}
-}
-
-func (p *exprParser) parseAdditive() (exprVal, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return exprVal{}, err
-	}
-	for {
-		op := p.peekOp("+", "-")
-		if op == "" {
-			return left, nil
-		}
-		p.pos++
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return exprVal{}, err
-		}
-		left, err = applyAdditive(op[0], left, right)
-		if err != nil {
-			return exprVal{}, err
-		}
-	}
-}
-
-func (p *exprParser) parseMultiplicative() (exprVal, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return exprVal{}, err
-	}
-	for {
-		op := p.peekOp("*", "/", "%")
-		if op == "" {
-			return left, nil
-		}
-		p.pos++
-		right, err := p.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		left, err = applyMultiplicative(op[0], left, right)
-		if err != nil {
-			return exprVal{}, err
-		}
-	}
-}
-
 // floorDiv and floorMod implement Tcl's flooring integer semantics.
 func floorDiv(a, b int64) int64 {
 	q := a / b
@@ -378,102 +189,6 @@ func floorMod(a, b int64) int64 {
 		m += b
 	}
 	return m
-}
-
-func (p *exprParser) parseUnary() (exprVal, error) {
-	p.skipWS()
-	if p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case '!':
-			p.pos++
-			v, err := p.parseUnary()
-			if err != nil {
-				return exprVal{}, err
-			}
-			b, err := v.truthy()
-			if err != nil {
-				return exprVal{}, err
-			}
-			return boolVal(!b), nil
-		case '-':
-			p.pos++
-			v, err := p.parseUnary()
-			if err != nil {
-				return exprVal{}, err
-			}
-			if err := v.needNum(); err != nil {
-				return exprVal{}, err
-			}
-			if v.isInt {
-				return numVal(-v.i), nil
-			}
-			return fltVal(-v.f), nil
-		case '+':
-			p.pos++
-			return p.parseUnary()
-		}
-	}
-	return p.parsePrimary()
-}
-
-func (p *exprParser) parsePrimary() (exprVal, error) {
-	p.skipWS()
-	if p.pos >= len(p.src) {
-		return exprVal{}, errors.New("unexpected end of expression")
-	}
-	c := p.src[p.pos]
-	switch {
-	case c == '(':
-		p.pos++
-		v, err := p.parseTernary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		p.skipWS()
-		if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-			return exprVal{}, errors.New("missing )")
-		}
-		p.pos++
-		return v, nil
-	case c == '$':
-		name, err := p.scanVarName()
-		if err != nil {
-			return exprVal{}, err
-		}
-		v, err := p.in.getVar(name)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return strVal(v), nil
-	case c == '[':
-		script, err := p.scanBracketed()
-		if err != nil {
-			return exprVal{}, err
-		}
-		res, err := p.in.Eval(script)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return strVal(res), nil
-	case c == '"':
-		s, err := p.scanQuoted()
-		if err != nil {
-			return exprVal{}, err
-		}
-		return strVal(s), nil
-	case c == '{':
-		s, err := p.scanBraced()
-		if err != nil {
-			return exprVal{}, err
-		}
-		return exprVal{s: s}, nil // braced operands stay strings
-	case c >= '0' && c <= '9' || c == '.':
-		return p.scanNumber()
-	case isAlpha(c):
-		return p.scanIdentOrFunc()
-	default:
-		return exprVal{}, fmt.Errorf("unexpected character %q", c)
-	}
 }
 
 func isAlpha(c byte) bool {
@@ -592,62 +307,9 @@ done:
 	return fltVal(f), nil
 }
 
-// scanIdentOrFunc handles bare identifiers: true/false, math functions with
-// call syntax like sqrt(2), and eq/ne handled upstream. Any other bare word
-// is a plain string operand.
-func (p *exprParser) scanIdentOrFunc() (exprVal, error) {
-	start := p.pos
-	for p.pos < len(p.src) && isVarChar(p.src[p.pos]) {
-		p.pos++
-	}
-	ident := p.src[start:p.pos]
-	p.skipWS()
-	if p.pos < len(p.src) && p.src[p.pos] == '(' {
-		return p.parseFuncCall(ident)
-	}
-	switch ident {
-	case "true", "yes", "on":
-		return boolVal(true), nil
-	case "false", "no", "off":
-		return boolVal(false), nil
-	}
-	return exprVal{s: ident}, nil
-}
-
-func (p *exprParser) parseFuncCall(name string) (exprVal, error) {
-	p.pos++ // '('
-	var args []exprVal
-	p.skipWS()
-	if p.pos < len(p.src) && p.src[p.pos] == ')' {
-		p.pos++
-	} else {
-		for {
-			v, err := p.parseTernary()
-			if err != nil {
-				return exprVal{}, err
-			}
-			args = append(args, v)
-			p.skipWS()
-			if p.pos >= len(p.src) {
-				return exprVal{}, fmt.Errorf("missing ) in call to %s", name)
-			}
-			if p.src[p.pos] == ',' {
-				p.pos++
-				continue
-			}
-			if p.src[p.pos] == ')' {
-				p.pos++
-				break
-			}
-			return exprVal{}, fmt.Errorf("bad argument list for %s", name)
-		}
-	}
-	return applyFunc(name, args)
-}
-
 // applyFunc applies a math function to already-evaluated operands; shared
-// by the direct evaluator and the compiled path so both agree exactly on
-// arity checks, coercions, and error messages.
+// by the compiled path and the test oracle so both agree exactly on arity
+// checks, coercions, and error messages.
 func applyFunc(name string, args []exprVal) (exprVal, error) {
 	need := func(n int) error {
 		if len(args) != n {

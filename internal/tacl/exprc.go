@@ -6,28 +6,22 @@ import (
 	"strings"
 )
 
-// Compiled expressions. The reference evaluator in expr.go re-scans the
-// expression source on every evaluation — for a while-loop condition that
-// means a full parse per iteration. compileExpr runs the same grammar once
-// and produces an AST whose eval walks values only; the compiled form is
-// immutable and shared through the expression cache, so every activation of
-// the same script evaluates pre-compiled conditions.
+// Compiled expressions. compileExpr parses an expression once and produces
+// an AST whose eval walks values only; the compiled form is immutable and
+// shared through the expression cache, so every activation of the same
+// script evaluates pre-compiled conditions. The bytecode compiler embeds
+// these trees in its opCondJump/opExpr operands, specialized to the
+// program's variable slots, with an integer postfix program (intProg) in
+// front where the tree allows one; evalExpr walks the shared tree for the
+// expr builtin.
 //
-// Tiering note: this compiled-AST engine (EngineAST) is now the middle tier
-// of the execution stack. The bytecode VM in bytecode.go/vm.go is the
-// default; it embeds these same exprProg trees for its opCondJump/opExpr
-// operands, so the compiled-expression layer is shared by both upper tiers.
-// EngineAST remains selectable (SetEngine) as the fallback when a script
-// fails to compile to bytecode and as the equivalence oracle's middle rung;
-// new evaluation features land in the VM first and here only to keep the
-// three-way equivalence suite honest.
-//
-// Semantics are kept identical to the reference evaluator — including its
-// quirks: ternary evaluates both branches, && and || evaluate both sides,
-// operands evaluate left-to-right before operator type checks, and nested
-// [command] substitution runs through the ordinary script interpreter (so
-// step budgets and step hooks bill exactly the same commands in the same
-// order). The equivalence suite and FuzzCompileEval enforce this.
+// Semantics are pinned to the test oracle's string-walking evaluator —
+// including its quirks: ternary evaluates both branches, && and || evaluate
+// both sides, operands evaluate left-to-right before operator type checks,
+// and nested [command] substitution runs through the ordinary script
+// interpreter (so step budgets and step hooks bill exactly the same
+// commands in the same order). The equivalence suite and FuzzCompileEval
+// enforce this.
 
 type exprProg struct {
 	root exprNode
@@ -37,8 +31,8 @@ type exprNode interface {
 	eval(in *Interp) (exprVal, error)
 }
 
-// compileExpr compiles an expression source to its AST. Errors are the
-// reference parser's errors, unwrapped; evalExpr adds the `expr %q:` frame.
+// compileExpr compiles an expression source to its AST. Errors are
+// unwrapped; evalExpr adds the `expr %q:` frame.
 func compileExpr(src string) (*exprProg, error) {
 	p := &exprParser{src: src}
 	n, err := p.compileTernary()
@@ -105,23 +99,16 @@ func (n *cmdNode) eval(in *Interp) (exprVal, error) {
 }
 
 // slotCmdNode is a cmdNode specialized by the bytecode compiler: the body
-// is recompiled against the enclosing program's variable layout (see
-// compileProgramShared), so the nested activation's variable ops keep the
-// slot fast path. Behaviorally identical to cmdNode — EvalScript on the
-// same body would run the body's independently compiled program instead.
+// is compiled against the enclosing program's variable layout (see
+// compileProgram), so the nested activation's variable ops keep the slot
+// fast path. Behaviorally identical to cmdNode — EvalScript on the same
+// body would run the body's independently compiled program instead.
 type slotCmdNode struct {
-	body *Script
 	prog *program
 }
 
 func (n *slotCmdNode) eval(in *Interp) (exprVal, error) {
-	var res string
-	var err error
-	if !in.noVM && !in.direct {
-		res, err = in.runVM(n.prog)
-	} else {
-		res, err = in.EvalScript(n.body)
-	}
+	res, err := in.runVM(n.prog)
 	if err != nil {
 		return exprVal{}, err
 	}
@@ -158,7 +145,7 @@ func (n *negNode) eval(in *Interp) (exprVal, error) {
 	return fltVal(-v.f), nil
 }
 
-// andOrNode mirrors the reference evaluator exactly: the left operand's
+// andOrNode mirrors the test oracle exactly: the left operand's
 // truthiness is checked before the right operand is evaluated, and the
 // right operand is always evaluated (no short-circuit).
 type andOrNode struct {
@@ -258,7 +245,7 @@ func (n *mulNode) eval(in *Interp) (exprVal, error) {
 }
 
 // ternaryNode evaluates the condition's truthiness first, then — like the
-// reference evaluator — evaluates BOTH branches before selecting one.
+// test oracle — evaluates BOTH branches before selecting one.
 type ternaryNode struct {
 	cond, then, els exprNode
 }
@@ -407,7 +394,7 @@ func applyMultiplicative(op byte, left, right exprVal) (exprVal, error) {
 	}
 }
 
-// --- compile parser (same grammar and scanning as the reference parser) ---
+// --- compile parser (the test oracle walks the same grammar) ---
 
 func (p *exprParser) compileTernary() (exprNode, error) {
 	cond, err := p.compileOr()

@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// fuzzRun evaluates src under one engine with a bounded interpreter and
-// returns the observable outcome tuple the fuzz targets compare.
-func fuzzRun(src string, engine Engine, script bool) (out, errText string, steps, probe int) {
-	in := New()
-	in.SetEngine(engine)
+// fuzzRun evaluates src on the VM, or on the reference interpreter when ref
+// is set, with a bounded interpreter and returns the observable outcome
+// tuple the fuzz targets compare.
+func fuzzRun(src string, ref, script bool) (out, errText string, steps, probe int) {
+	in := newEngine(ref)
 	in.MaxSteps = 200
 	in.SetGlobal("x", "5")
 	in.SetGlobal("y", "abc")
@@ -21,10 +21,10 @@ func fuzzRun(src string, engine Engine, script bool) (out, errText string, steps
 	switch {
 	case script:
 		out, err = in.Eval(src)
-	case engine == EngineVM:
-		out, err = vmExpr(in, src)
-	default:
+	case ref:
 		out, err = evalExpr(in, src)
+	default:
+		out, err = vmExpr(in, src)
 	}
 	if err != nil {
 		out = ""
@@ -44,39 +44,33 @@ func vmExpr(in *Interp, src string) (string, error) {
 	return vmExprEval(in, ref)
 }
 
-// fuzzCompare runs src under all three engines and fails on any pairwise
-// divergence in result, error text, step count, or side-effect count.
+// fuzzCompare runs src on the VM and on the reference interpreter and
+// fails on any divergence in result, error text, step count, or
+// side-effect count.
 func fuzzCompare(t *testing.T, src string, script bool) {
 	t.Helper()
-	refOut, refErr, refSteps, refProbe := fuzzRun(src, EngineReference, script)
-	for _, e := range []struct {
-		name   string
-		engine Engine
-	}{{"vm", EngineVM}, {"ast", EngineAST}} {
-		out, errText, steps, probe := fuzzRun(src, e.engine, script)
-		if errText != refErr {
-			t.Fatalf("error divergence on %q:\n  %-9s %q, %q\n  reference %q, %q",
-				src, e.name+":", out, errText, refOut, refErr)
-		}
-		if errText == "" && out != refOut {
-			t.Fatalf("result divergence on %q:\n  %-9s %q\n  reference %q", src, e.name+":", out, refOut)
-		}
-		if steps != refSteps || probe != refProbe {
-			t.Fatalf("billing divergence on %q:\n  %-9s steps %d, probes %d\n  reference steps %d, probes %d",
-				src, e.name+":", steps, probe, refSteps, refProbe)
-		}
+	refOut, refErr, refSteps, refProbe := fuzzRun(src, true, script)
+	out, errText, steps, probe := fuzzRun(src, false, script)
+	if errText != refErr {
+		t.Fatalf("error divergence on %q:\n  vm:       %q, %q\n  reference %q, %q",
+			src, out, errText, refOut, refErr)
+	}
+	if errText == "" && out != refOut {
+		t.Fatalf("result divergence on %q:\n  vm:       %q\n  reference %q", src, out, refOut)
+	}
+	if steps != refSteps || probe != refProbe {
+		t.Fatalf("billing divergence on %q:\n  vm:       steps %d, probes %d\n  reference steps %d, probes %d",
+			src, steps, probe, refSteps, refProbe)
 	}
 }
 
-// FuzzCompileEval differentially fuzzes expression evaluation across all
-// three engines: the bytecode VM and the compiled-AST tree-walker against
-// the parse-per-eval reference. The invariant is full observational
-// equality: same result or same error text, same step count, same
-// side-effect count. (When compilation fails, the faster engines fall back
-// to the reference evaluator, so even malformed expressions with
-// side-effecting operands behave identically.) Loops are enabled: the
-// per-iteration step charge bounds even empty-body spins, so every input
-// terminates within MaxSteps.
+// FuzzCompileEval differentially fuzzes expression evaluation: the VM's
+// compiled operands against the reference interpreter's parse-per-eval
+// evaluator. The invariant is full observational equality: same result or
+// same error text, same step count, same side-effect count. A malformed
+// expression is a compile error on both, so none of its operands run.
+// Loops are enabled: the per-iteration step charge bounds even empty-body
+// spins, so every input terminates within MaxSteps.
 func FuzzCompileEval(f *testing.F) {
 	seeds := []string{
 		`1 + 2 * 3 - 4 / 2`,
@@ -127,9 +121,8 @@ func FuzzCompileEval(f *testing.F) {
 }
 
 // FuzzVMScript differentially fuzzes whole-script execution: the bytecode
-// compiler + VM (and the tree-walker it falls back to) against the
-// reference engine, over scripts exercising control flow, procs, loops,
-// substitution, and the step budget.
+// compiler and VM against the reference interpreter, over scripts
+// exercising control flow, procs, loops, substitution, and the step budget.
 func FuzzVMScript(f *testing.F) {
 	seeds := []string{
 		`set i 0; while {$i < 10} { incr i }; set i`,

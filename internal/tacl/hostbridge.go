@@ -14,7 +14,7 @@ import (
 // the VM is an atomic load plus an array index instead of a per-call map
 // lookup. Per-activation overrides (Interp.Register, as the guard's Bind
 // uses) and script-defined procs still win: the VM checks those maps first,
-// exactly as the tree-walker's dispatch order does — the procs map only for
+// in dispatch order — the procs map only for
 // symbols some proc definition has marked. Table.Register
 // invalidates every inline cache at once by publishing a new snapshot.
 

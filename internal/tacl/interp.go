@@ -52,13 +52,10 @@ type Interp struct {
 	Host any
 
 	depth int
-	// direct selects the reference string-walking expr evaluator instead
-	// of the compiled AST path; set via SetEngine(EngineReference).
-	direct bool
-	// noVM disables bytecode execution, forcing the compiled-AST
-	// tree-walker; set via SetEngine(EngineAST) (EngineReference implies
-	// it too).
-	noVM bool
+	// oracle is the test seam: the package tests install their reference
+	// interpreter here, and EvalScript and evalExpr hand off to it, to
+	// check the VM differentially. Always nil in production; Put clears it.
+	oracle evaluator
 	// curLine is the source line of the command currently dispatching; the
 	// loop builtins read it so their per-iteration step charge reports the
 	// loop's own line.
@@ -73,7 +70,7 @@ type Interp struct {
 	arena byteArena
 	// fmtBuf is format's scratch buffer.
 	fmtBuf []byte
-	// argScratch is the argument arena: evalCommand appends each command's
+	// argScratch is the argument arena: the VM pushes each command's
 	// evaluated words here and hands the command its sub-slice, restoring
 	// the length afterwards. Nested evaluation stacks cleanly because a
 	// nested command's region starts at or beyond its parent's end.
@@ -104,6 +101,13 @@ type Interp struct {
 // CmdFunc implements a command. args excludes the command name.
 type CmdFunc func(in *Interp, args []string) (string, error)
 
+// evaluator runs scripts and expressions in place of the VM; see
+// Interp.oracle.
+type evaluator interface {
+	evalScript(in *Interp, s *Script) (string, error)
+	evalExpr(in *Interp, src string) (string, error)
+}
+
 type procDef struct {
 	name string
 	body *Script
@@ -119,24 +123,26 @@ type procDef struct {
 type procSig struct {
 	spec   string
 	params []procParam
-	layout *program // body.compiled() at resolution; nil when it failed
+	layout *program // the body's compiled program
 	slots  []int32
 }
 
 // newProcSig parses spec and resolves its parameters against body's
-// compiled layout.
+// compiled layout; a body that does not compile fails the definition.
 func newProcSig(spec string, body *Script) (*procSig, error) {
 	params, err := parseParams(spec)
 	if err != nil {
 		return nil, err
 	}
-	sig := &procSig{spec: spec, params: params, layout: body.compiled(), slots: make([]int32, len(params))}
+	layout, err := body.compiled()
+	if err != nil {
+		return nil, err
+	}
+	sig := &procSig{spec: spec, params: params, layout: layout, slots: make([]int32, len(params))}
 	for i := range params {
 		sig.slots[i] = -1
-		if sig.layout != nil {
-			if j, ok := sig.layout.varIdx[params[i].name]; ok {
-				sig.slots[i] = j
-			}
+		if j, ok := layout.varIdx[params[i].name]; ok {
+			sig.slots[i] = j
 		}
 	}
 	return sig, nil
@@ -166,9 +172,9 @@ const slotLive uint8 = 1
 // name's storage IS the slot — an array cell, no hashing. Names outside the
 // layout (computed names, overflow past maxVarSlots) live in the scope's
 // ordinary map. The placement rule is a function of (terminal scope layout,
-// name) only, so the VM's slot ops, the tree-walking builtins, and the host
-// Get/Set API all agree on where a variable lives; the three-way
-// equivalence suite pins that agreement.
+// name) only, so the VM's slot ops, the name-based builtins, and the host
+// Get/Set API all agree on where a variable lives; the equivalence suite
+// pins that agreement.
 type varScope struct {
 	prog  *program // layout owner; nil = unbound, everything in the map
 	slots []string
@@ -256,6 +262,15 @@ var (
 	ErrBudget = errors.New("tacl: step budget exhausted")
 	// ErrDepth reports runaway recursion.
 	ErrDepth = errors.New("tacl: recursion too deep")
+	// ErrTooLarge reports a repeat command asked for a result past its cap.
+	ErrTooLarge = errors.New("result too large")
+)
+
+// Caps on what one repeat command builds: string repeat's result bytes and
+// lrepeat's element count.
+const (
+	maxRepeatBytes = 1 << 24
+	maxRepeatElems = 1 << 20
 )
 
 // maxDepth bounds proc recursion and eval nesting.
@@ -511,40 +526,12 @@ func Put(in *Interp) {
 	in.Out = io.Discard
 	in.Host = nil
 	in.depth = 0
-	in.direct = false
-	in.noVM = false
+	in.oracle = nil
 	in.curLine = 0
 	// Pooled VM frames were already scrubbed of element references by
 	// putVMFrame; the freelist itself (and the arena page, which outlives
 	// activations by design) stays for reuse.
 	interpPool.Put(in)
-}
-
-// Engine selects which execution engine runs scripts. Selection order at
-// runtime: EngineVM lowers scripts to bytecode (vm.go) and falls back to
-// EngineAST automatically when a script fails to compile; EngineAST
-// tree-walks the parsed script with compiled expression ASTs (exprc.go);
-// EngineReference additionally re-walks expression source strings on every
-// evaluation (expr.go) — the slowest, most literal reading of the language,
-// kept as the differential-testing oracle.
-type Engine uint8
-
-const (
-	// EngineVM is the default: bytecode compilation + register VM.
-	EngineVM Engine = iota
-	// EngineAST forces the tree-walking evaluator with cached expression
-	// ASTs (the PR 3 engine, now the VM's fallback tier).
-	EngineAST
-	// EngineReference forces the direct string-walking evaluator.
-	EngineReference
-)
-
-// SetEngine pins the interpreter to an execution engine. The zero state is
-// EngineVM; tests pin EngineAST/EngineReference to differentially check the
-// VM.
-func (in *Interp) SetEngine(e Engine) {
-	in.direct = e == EngineReference
-	in.noVM = e != EngineVM
 }
 
 // Register installs (or replaces) a host command for this interpreter only,
@@ -623,32 +610,25 @@ func (in *Interp) EvalCached(src string) (string, error) {
 	return in.EvalScript(s)
 }
 
-// EvalScript runs a previously parsed script. Unless the interpreter is
-// pinned to a fallback engine, the script is lowered to bytecode on first
-// use and executed by the VM; compile failure degrades permanently (for
-// that script) to the tree-walker below, which is observationally
-// identical.
+// EvalScript runs a previously parsed script: lowered to bytecode on first
+// use and executed by the VM. A script that does not compile fails with
+// ErrCompile and runs nothing.
 func (in *Interp) EvalScript(s *Script) (string, error) {
-	if !in.noVM && !in.direct {
-		if p := s.compiled(); p != nil {
-			return in.runVM(p)
-		}
+	if in.oracle != nil {
+		return in.oracle.evalScript(in, s)
 	}
-	var result string
-	for i := range s.cmds {
-		r, err := in.evalCommand(&s.cmds[i])
-		if err != nil {
-			return "", err
-		}
-		result = r
+	p, err := s.compiled()
+	if err != nil {
+		return "", err
 	}
-	return result, nil
+	return in.runVM(p)
 }
 
 // chargeStep accounts one command evaluation against the step budget and
-// runs the yield/metering hooks. Shared verbatim by the tree-walker and the
-// VM so step counts, budget error text, and preemption points are
-// identical.
+// runs the yield/metering hooks: the VM's step op takes it whenever a
+// budget, yield or hook can fire, and the loop builtins charge spin
+// iterations through it, so step counts, budget error text, and
+// preemption points have one source.
 func (in *Interp) chargeStep(line int) error {
 	in.Steps++
 	if in.MaxSteps > 0 && in.Steps > in.MaxSteps {
@@ -663,33 +643,6 @@ func (in *Interp) chargeStep(line int) error {
 		}
 	}
 	return nil
-}
-
-func (in *Interp) evalCommand(c *command) (string, error) {
-	if err := in.chargeStep(c.line); err != nil {
-		return "", err
-	}
-	return in.evalCommandTail(c)
-}
-
-// evalCommandTail evaluates a command's words and dispatches, without
-// charging a step: the VM's guard ops call it for shadowed constructs whose
-// step was already charged by opStep.
-func (in *Interp) evalCommandTail(c *command) (string, error) {
-	base := len(in.argScratch)
-	defer func() { in.argScratch = in.argScratch[:base] }()
-	for i := range c.words {
-		v, err := in.evalWord(&c.words[i])
-		if err != nil {
-			return "", err
-		}
-		in.argScratch = append(in.argScratch, v)
-	}
-	args := in.argScratch[base:]
-	if len(args) == 0 {
-		return "", nil
-	}
-	return in.dispatchDyn(args, c.line)
 }
 
 // decorate adds command/line context to an error once, leaving sentinel
@@ -737,56 +690,6 @@ func signalOf(err error) error {
 		err = u.Unwrap()
 	}
 	return nil
-}
-
-func (in *Interp) evalWord(w *word) (string, error) {
-	// Single-segment words — bare literals, a lone $var, a lone [cmd] —
-	// are the common case and need no string building.
-	if len(w.segs) == 1 {
-		seg := &w.segs[0]
-		switch seg.kind {
-		case segLit:
-			return seg.text, nil
-		case segVar:
-			return in.getVar(seg.text)
-		case segCmd:
-			in.depth++
-			if in.depth > maxDepth {
-				in.depth--
-				return "", ErrDepth
-			}
-			v, err := in.EvalScript(seg.script)
-			in.depth--
-			return v, err
-		}
-	}
-	var sb strings.Builder
-	for i := range w.segs {
-		seg := &w.segs[i]
-		switch seg.kind {
-		case segLit:
-			sb.WriteString(seg.text)
-		case segVar:
-			v, err := in.getVar(seg.text)
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString(v)
-		case segCmd:
-			in.depth++
-			if in.depth > maxDepth {
-				in.depth--
-				return "", ErrDepth
-			}
-			v, err := in.EvalScript(seg.script)
-			in.depth--
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString(v)
-		}
-	}
-	return sb.String(), nil
 }
 
 // currentFrame returns the active proc frame, or nil at top level (where
@@ -943,15 +846,11 @@ func (in *Interp) callProc(p *procDef, args []string, line int) (string, error) 
 
 	f := in.getFrame()
 	// Bind the frame to the body's compiled layout before parameter
-	// placement, so parameters land in their slots. Engine pins and compile
-	// failures leave the frame unbound and everything goes through the map,
-	// exactly as before slots existed.
-	if !in.noVM && !in.direct {
-		if pb := p.body.compiled(); pb != nil && len(pb.varNames) > 0 {
-			f.bind(pb)
-		}
-	}
+	// placement, so parameters land in their slots.
 	sig := p.sig
+	if len(sig.layout.varNames) > 0 {
+		f.bind(sig.layout)
+	}
 	i := 0
 	for pi, param := range sig.params {
 		switch {

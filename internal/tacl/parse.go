@@ -16,15 +16,12 @@
 // the paper proposes charging electronic cash for cycles, and the cash
 // package builds exactly that on top of the budget hook.
 //
-// Three execution engines share these parse trees, selected per
-// interpreter via SetEngine and ordered fastest-first: (1) the bytecode VM
-// (bytecode.go/vm.go), the default, which lowers a Script to a flat
-// register IR on first execution; (2) the tree-walking evaluator with
-// compiled expression ASTs (interp.go/exprc.go), the automatic fallback
-// when bytecode compilation fails; (3) the reference string-walking
-// evaluator (expr.go), the differential-testing oracle the other two are
-// pinned against. All three are observationally identical — results, error
-// text, step accounting, side-effect order.
+// One engine executes these parse trees: the bytecode VM
+// (bytecode.go/vm.go) lowers a Script to a flat register IR on first
+// execution and runs it. Expressions compile to ASTs (exprc.go) the VM
+// embeds in its operands. The package tests keep a string-walking
+// reference interpreter as the oracle the VM is pinned against: results,
+// error text, step accounting, side-effect order.
 package tacl
 
 import (
@@ -69,8 +66,7 @@ type Script struct {
 	cmds []command
 	src  string
 
-	prog atomic.Pointer[program] // compiled bytecode, nil until first VM run
-	noVM atomic.Bool             // sticky compile failure: tree-walk forever
+	prog atomic.Pointer[program] // compiled bytecode, nil until first run
 	sig  atomic.Pointer[procSig] // last parameter list this script was a proc body for
 }
 

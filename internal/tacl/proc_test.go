@@ -17,8 +17,7 @@ func TestCatchPassesPark(t *testing.T) {
 			`set after 0; catch {expr {[park me]}}; set after 1`,
 			`set after 0; while {1} { catch {park me}; break }; set after 1`,
 		} {
-			in := New()
-			in.SetEngine(e.engine)
+			in := newEngine(e.ref)
 			in.Register("park", func(_ *Interp, args []string) (string, error) {
 				return "", ParkSignal(args[0])
 			})

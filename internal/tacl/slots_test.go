@@ -49,8 +49,7 @@ func TestSetGlobalSlotMigration(t *testing.T) {
 func TestParkUnwindsLiveSlotFrames(t *testing.T) {
 	const src = "proc f {} { set x 99; set name y; set $name 1; park w }\nset x 1\nf"
 	for _, e := range allEngines {
-		in := New()
-		in.SetEngine(e.engine)
+		in := newEngine(e.ref)
 		in.Register("park", func(_ *Interp, args []string) (string, error) {
 			return "", ParkSignal(args[0])
 		})

@@ -3,15 +3,16 @@ package tacl
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Register VM. runVM executes the flat op stream produced by bytecode.go.
 // Arguments accumulate in the interpreter's shared argScratch arena (no
 // per-command []string), dispatch goes through interned symbols into the
 // table snapshot's dense array, and control flow is pc manipulation instead
-// of sentinel-error unwinding — except where the tree-walker's semantics
-// are themselves error-based (break/continue/park/jump crossing proc or
-// [cmd] boundaries), which the region table reproduces exactly.
+// of sentinel-error unwinding — except where the language's semantics are
+// themselves error-based (break/continue/park/jump crossing proc or [cmd]
+// boundaries), which the region table reproduces exactly.
 
 // vmFrame holds per-activation loop state: step marks for no-progress
 // charging, plus foreach element lists and cursors. One unified slot space,
@@ -52,8 +53,7 @@ func (in *Interp) putVMFrame(fr *vmFrame) {
 	in.freeVMFrames = append(in.freeVMFrames, fr)
 }
 
-// runVM executes a compiled program and returns the last command's result,
-// exactly as EvalScript's tree-walk loop would.
+// runVM executes a compiled program and returns the last command's result.
 func (in *Interp) runVM(p *program) (string, error) {
 	var fr *vmFrame
 	if p.numSlots > 0 {
@@ -127,12 +127,10 @@ func (in *Interp) runVM(p *program) (string, error) {
 					in.argScratch = append(in.argScratch, v)
 				}
 			}
-		case opArgWord:
-			var v string
-			v, err = in.evalWord(p.words[op.a])
-			if err == nil {
-				in.argScratch = append(in.argScratch, v)
-			}
+		case opConcat:
+			// strings.Join sizes the result exactly: one allocation.
+			n := len(in.argScratch) - int(op.a)
+			in.argScratch = append(in.argScratch[:n], strings.Join(in.argScratch[n:], ""))
 		case opCall:
 			argc := int(op.b)
 			args := in.argScratch[len(in.argScratch)-argc:]
@@ -189,14 +187,27 @@ func (in *Interp) runVM(p *program) (string, error) {
 				result = res
 			}
 		case opGuard:
-			if in.cmdShadowed(op.kind) {
-				var res string
-				res, err = in.evalCommandTail(p.cmds[op.c])
-				if err == nil {
-					result = res
-					pc = int(op.b)
-					continue
-				}
+			if !in.cmdShadowed(op.kind) {
+				pc = int(op.b)
+				continue
+			}
+		case opCallShadow:
+			args := p.argLists[op.a]
+			n := len(in.argScratch)
+			if op.c >= 0 {
+				// The construct's one dynamic word is on the stack top: lay
+				// the words out above it with that value in place.
+				n--
+				v := in.argScratch[n]
+				in.argScratch = append(in.argScratch, args...)
+				args = in.argScratch[n+1:]
+				args[op.c] = v
+			}
+			var res string
+			res, err = in.dispatchDyn(args, int(op.line))
+			in.argScratch = in.argScratch[:n]
+			if err == nil {
+				result = res
 			}
 		case opJump:
 			pc = int(op.a)
@@ -215,7 +226,7 @@ func (in *Interp) runVM(p *program) (string, error) {
 			// An iteration that evaluated no commands (empty body,
 			// command-free condition) still burns one step: without this a
 			// hostile agent could spin `while {1} {}` for free under guard
-			// metering. Mirrors the same charge in the tree-walk builtins.
+			// metering. Mirrors the same charge in the loop builtins.
 			if fr.marks[op.a] == in.Steps {
 				err = in.chargeStep(int(op.line))
 			}
@@ -289,7 +300,7 @@ func (in *Interp) runVM(p *program) (string, error) {
 // watermark), depth regions undo their opDepth increment as the error leaves
 // the inlined [cmd], and decor regions add the enclosing construct's
 // name-and-line frame to non-control errors — the exact composition the
-// nested tree-walk builtins produce. Cold path.
+// nested loop builtins produce. Cold path.
 func (p *program) recoverErr(in *Interp, pc int, err error) (int, int, error) {
 	// Regions are stored innermost first (see sortRegions), so walking them
 	// in order and skipping those not containing pc visits exactly the
@@ -301,7 +312,7 @@ func (p *program) recoverErr(in *Interp, pc int, err error) (int, int, error) {
 		}
 		switch {
 		case r.isLoop:
-			// Exact sentinel identity, as the tree-walk loops test: a
+			// Exact sentinel identity, as the loop builtins test: a
 			// break wrapped by expr's %w is an ordinary error here.
 			if err == errBreak {
 				return int(r.breakPC), int(r.scratch), nil
@@ -323,7 +334,7 @@ func (p *program) recoverErr(in *Interp, pc int, err error) (int, int, error) {
 // cmdShadowed reports whether an inlined construct's name no longer
 // resolves to the canonical builtin: a script proc, a per-activation
 // Register override, or a table snapshot whose entry was replaced. Any of
-// those sends the guard op down the generic-dispatch path. The verdict per
+// those sends the guard op down the generic call (opCallShadow). The verdict per
 // kind is cached in canonMask; proc definition and Register nil canonState
 // to force a rebuild, and a table Register invalidates by publishing a new
 // snapshot pointer.
@@ -376,13 +387,12 @@ func (in *Interp) vmIncrSlot(p *program, sc *varScope, slotOK bool, op *vmOp) (s
 	return v, err
 }
 
-// dispatchStatic calls a symbol-resolved command with the tree-walker's
-// dispatch order: procs, per-interp overrides, then the table snapshot's
-// dense array (map fallback covers symbols interned after the snapshot was
-// built). A symbol no proc definition has marked cannot name a proc, so
-// host and builtin calls skip hashing into procs. Proc and control errors
-// propagate raw; command errors get the
-// name-and-line decoration evalCommand applies.
+// dispatchStatic calls a symbol-resolved command in dispatch order: procs,
+// per-interp overrides, then the table snapshot's dense array (map
+// fallback covers symbols interned after the snapshot was built). A symbol
+// no proc definition has marked cannot name a proc, so host and builtin
+// calls skip hashing into procs. Proc and control errors propagate raw;
+// command errors get the name-and-line decoration.
 func (in *Interp) dispatchStatic(sym *symbol, args []string, line int) (string, error) {
 	if in.procs != nil && (sym.isProc.Load() || in.procsUnmarked) {
 		if pd, ok := in.procs[sym.name]; ok {
@@ -413,9 +423,9 @@ func (in *Interp) dispatchStatic(sym *symbol, args []string, line int) (string, 
 	return res, err
 }
 
-// dispatchDyn resolves a command whose name was produced at runtime
-// (args[0]); shared by the VM's dynamic calls and the tree-walker's
-// evalCommandTail.
+// dispatchDyn resolves a command whose name is args[0], looked up at call
+// time: the VM's dynamic calls and the generic calls of shadowed
+// constructs.
 func (in *Interp) dispatchDyn(args []string, line int) (string, error) {
 	name := args[0]
 	if pd, ok := in.procs[name]; ok {
@@ -437,8 +447,8 @@ func (in *Interp) dispatchDyn(args []string, line int) (string, error) {
 }
 
 // vmCondEval evaluates a loop/branch condition to a boolean. Errors stay
-// raw: the construct's decor region frames them, matching how the
-// tree-walk builtins return condition errors undecorated to evalCommand.
+// raw: the construct's decor region frames them, as the loop builtins
+// return condition errors undecorated to their dispatcher.
 func (in *Interp) vmCondEval(ref *exprRef) (bool, error) {
 	if ref.isConst {
 		return ref.constTruthy, ref.constTruthyErr
@@ -460,10 +470,13 @@ func (in *Interp) vmCondEval(ref *exprRef) (bool, error) {
 }
 
 // vmExprEval mirrors evalExpr for a precompiled operand: folded constant,
-// integer program, lone [cmd] substitution, compiled AST with the standard
-// "expr %q" wrap, or the reference string-walking evaluator when
-// compilation failed.
+// integer program, lone [cmd] substitution, or compiled AST with the
+// standard "expr %q" wrap. A malformed operand returns its compile error
+// and runs nothing.
 func vmExprEval(in *Interp, ref *exprRef) (string, error) {
+	if ref.err != nil {
+		return "", ref.err
+	}
 	if ref.isConst {
 		return ref.constVal, nil
 	}
@@ -473,20 +486,11 @@ func vmExprEval(in *Interp, ref *exprRef) (string, error) {
 		}
 	}
 	if ref.cmd != nil {
-		var res string
-		var err error
-		if !in.noVM && !in.direct {
-			res, err = in.runVM(ref.cmd.prog)
-		} else {
-			res, err = in.EvalScript(ref.cmd.body)
-		}
+		res, err := in.runVM(ref.cmd.prog)
 		if err != nil {
 			return "", fmt.Errorf("expr %q: %w", ref.src, err)
 		}
 		return res, nil
-	}
-	if ref.prog == nil {
-		return evalExprDirect(in, ref.src)
 	}
 	v, err := ref.prog.root.eval(in)
 	if err != nil {

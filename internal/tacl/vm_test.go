@@ -10,26 +10,25 @@ import (
 // Edge-semantics pins for the bytecode VM: park/jump signals crossing
 // nested proc and loop boundaries, step budgets tripping inside a host
 // command that itself evaluates TacL, and pooled-interpreter hygiene. All
-// behavioral cases run through the three-engine matrix; any divergence from
-// the reference interpreter fails.
+// behavioral cases run on the VM and on the reference interpreter; any
+// divergence fails.
 
 type vmEdgeResult struct {
-	out      string
-	isErr    bool
-	errText  string
-	steps    int
-	isJump   bool
-	jumpDest string
-	isPark   bool
-	parkName string
+	out        string
+	isErr      bool
+	errText    string
+	steps      int
+	isJump     bool
+	jumpDest   string
+	isPark     bool
+	parkName   string
 	isBudget   bool
 	isSentinel bool
 	hostRuns   int
 }
 
-func runVMEdge(src string, engine Engine, maxSteps int) vmEdgeResult {
-	in := New()
-	in.SetEngine(engine)
+func runVMEdge(src string, ref bool, maxSteps int) vmEdgeResult {
+	in := newEngine(ref)
 	in.MaxSteps = maxSteps
 	in.Register("jump", func(_ *Interp, args []string) (string, error) {
 		if len(args) != 1 {
@@ -142,13 +141,9 @@ func TestVMEdgeSemantics(t *testing.T) {
 		// inside hosteval's nested EvalCached — must agree everywhere.
 		// (No unlimited entry: some corpus scripts spin forever by design.)
 		for _, budget := range []int{1, 2, 3, 5, 7, 11, 19, 40, 150, 1000} {
-			ref := runVMEdge(src, EngineReference, budget)
-			for _, e := range allEngines[:2] { // vm, ast
-				got := runVMEdge(src, e.engine, budget)
-				if got != ref {
-					t.Errorf("engine %s budget %d src %q:\n got %+v\nwant %+v",
-						e.name, budget, src, got, ref)
-				}
+			want := runVMEdge(src, true, budget)
+			if got := runVMEdge(src, false, budget); got != want {
+				t.Errorf("budget %d src %q:\n got %+v\nwant %+v", budget, src, got, want)
 			}
 		}
 	}
@@ -160,8 +155,7 @@ func TestVMEdgeSemantics(t *testing.T) {
 // script's line number on every engine.
 func TestVMBudgetMidHostCommand(t *testing.T) {
 	for _, e := range allEngines {
-		in := New()
-		in.SetEngine(e.engine)
+		in := newEngine(e.ref)
 		in.MaxSteps = 4
 		var effects []string
 		in.Register("mark", func(_ *Interp, args []string) (string, error) {
@@ -193,8 +187,8 @@ func TestVMBudgetMidHostCommand(t *testing.T) {
 
 // TestPutResetsVMState checks pooled-interpreter hygiene for the VM's
 // per-activation machinery: loop frames returned to the freelist must not
-// pin foreach element lists, and Put must clear the engine override and
-// line state so the next activation starts from the default VM engine.
+// pin foreach element lists, and Put must clear the test seam and line
+// state so the next activation runs on the VM.
 func TestPutResetsVMState(t *testing.T) {
 	in := New()
 	if _, err := in.Eval(`foreach x {alpha beta gamma} { set y $x }`); err != nil {
@@ -210,11 +204,11 @@ func TestPutResetsVMState(t *testing.T) {
 			}
 		}
 	}
-	in.SetEngine(EngineReference)
+	useReference(in)
 	in.curLine = 7
 	Put(in)
-	if in.noVM || in.direct {
-		t.Error("Put must reset the engine override to the default VM")
+	if in.oracle != nil {
+		t.Error("Put must clear the reference interpreter seam")
 	}
 	if in.curLine != 0 {
 		t.Error("Put must clear line state")
@@ -222,8 +216,8 @@ func TestPutResetsVMState(t *testing.T) {
 }
 
 // TestVMStepAccountingMatchesReference spot-checks that step counts for a
-// loop-heavy script are identical across engines at several budgets — the
-// property the guard's cycle metering depends on.
+// loop-heavy script are identical on both engines — the property the
+// guard's cycle metering depends on.
 func TestVMStepAccountingMatchesReference(t *testing.T) {
 	src := `set n 0
 set i 0
@@ -232,14 +226,34 @@ while {$i < 9} {
 	set i [expr $i + 1]
 }
 set n`
-	ref := runVMEdge(src, EngineReference, 0)
-	if ref.isErr || ref.out != strconv.Itoa(27) {
-		t.Fatalf("reference sanity: %+v", ref)
+	want := runVMEdge(src, true, 0)
+	if want.isErr || want.out != strconv.Itoa(27) {
+		t.Fatalf("reference sanity: %+v", want)
 	}
-	for _, e := range allEngines {
-		got := runVMEdge(src, e.engine, 0)
-		if got != ref {
-			t.Errorf("engine %s: %+v != %+v", e.name, got, ref)
+	if got := runVMEdge(src, false, 0); got != want {
+		t.Errorf("vm: %+v != %+v", got, want)
+	}
+}
+
+// TestConcatWordAllocs pins a multi-segment word at one allocation, its
+// exactly-sized result: the resident agent's `set pending
+// PARK_PENDING:$me`, and a word mixing a substitution into literals.
+func TestConcatWordAllocs(t *testing.T) {
+	for src, want := range map[string]string{
+		`set pending PARK_PENDING:$me`:        "PARK_PENDING:r-42",
+		`set w <$me|[string length $me]|$me>`: "<r-42|4|r-42>",
+	} {
+		in := New()
+		in.SetGlobal("me", "r-42")
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := in.EvalScript(s); err != nil || got != want {
+			t.Fatalf("%q = %q, %v; want %q", src, got, err, want)
+		}
+		if n := testing.AllocsPerRun(200, func() { _, _ = in.EvalScript(s) }); n > 1 {
+			t.Errorf("%q allocates %.1f times, want at most 1", src, n)
 		}
 	}
 }
