@@ -126,10 +126,22 @@ func (sys *System) Grid(w, h int) error {
 	return nil
 }
 
-// Wait quiesces all background work across the system.
+// Wait quiesces all background work across the system. Work at one site
+// starts work at others (a detached ship), also at a site already
+// quiesced, so it repeats until two passes find every site idle with no
+// work admitted in between: then all sites were idle at once, between the
+// passes.
 func (sys *System) Wait() {
-	for _, id := range sys.order {
-		sys.Sites[id].Wait()
+	last := int64(-1)
+	for {
+		var admitted int64
+		for _, id := range sys.order {
+			admitted += sys.Sites[id].sched.Quiesce()
+		}
+		if admitted == last {
+			return
+		}
+		last = admitted
 	}
 }
 

@@ -100,10 +100,11 @@ type Scheduler struct {
 	// goroutines — under a mutex+cond rather than a WaitGroup: spawned work
 	// submits further work from goroutines the tracker does not own, so Add
 	// could race a concurrent Wait under WaitGroup rules. Quiesce returns at
-	// a moment the counter is zero.
+	// a moment the counter is zero. added counts work ever admitted.
 	wmu    sync.Mutex
 	wcond  *sync.Cond
 	inWork int
+	added  int64
 
 	submitted int64 // under mu
 	steals    int64 // under mu
@@ -171,21 +172,26 @@ func (s *Scheduler) Spawn(fn func()) {
 }
 
 // Quiesce blocks until all submitted tasks and spawned goroutines have
-// finished. Parked agents are at rest, not in flight, and do not count.
-func (s *Scheduler) Quiesce() {
+// finished, and returns how much work the scheduler had admitted by then.
+// Parked agents are at rest, not in flight, and do not count. Two
+// Quiesces returning the same count bracket an interval in which the
+// scheduler stayed idle.
+func (s *Scheduler) Quiesce() int64 {
 	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.wcond == nil {
 		s.wcond = sync.NewCond(&s.wmu)
 	}
 	for s.inWork > 0 {
 		s.wcond.Wait()
 	}
-	s.wmu.Unlock()
+	return s.added
 }
 
 func (s *Scheduler) workAdd() {
 	s.wmu.Lock()
 	s.inWork++
+	s.added++
 	s.wmu.Unlock()
 }
 
