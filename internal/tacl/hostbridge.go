@@ -13,10 +13,10 @@ import (
 // carries a dense []CmdFunc indexed by symbol id, so a host-command call in
 // the VM is an atomic load plus an array index instead of a per-call map
 // lookup. Per-activation overrides (Interp.Register, as the guard's Bind
-// uses) and script-defined procs still win: the VM checks those maps first,
-// in dispatch order — the procs map only for
-// symbols some proc definition has marked. Table.Register
-// invalidates every inline cache at once by publishing a new snapshot.
+// uses) and script-defined procs still win: the VM checks those maps first
+// — the procs map only for symbols some proc definition has marked.
+// Table.Register invalidates every inline cache at once by publishing a new
+// snapshot.
 
 // symbol is an interned command name. Symbols are process-wide and never
 // freed; ids index the dense dispatch slot on each table snapshot.
