@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -196,5 +197,72 @@ func TestDeprecatedWrappersBehaveIdentically(t *testing.T) {
 	}
 	if v, _ := bc.GetString("VIA"); v != "site-0" {
 		t.Fatalf("MeetClient ran at %q", v)
+	}
+}
+
+// meetAllocs reports the steady-state allocations of one local meet of
+// agent at s with bc.
+func meetAllocs(t *testing.T, s *Site, agent string, bc *folder.Briefcase) float64 {
+	t.Helper()
+	meet := func() {
+		if err := s.MeetClient(context.Background(), agent, bc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		meet()
+	}
+	return testing.AllocsPerRun(500, meet)
+}
+
+// TestLocalMeetAllocs caps the pure dispatch cost of a local meet — registry
+// lookup, guard probe, context build — of a no-op agent at 2 allocations.
+func TestLocalMeetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const allocCap = 2
+	sys := NewSystem(1, SystemConfig{Seed: 7})
+	sys.SiteAt(0).Register("noop", AgentFunc(
+		func(*MeetContext, *folder.Briefcase) error { return nil }))
+	n := meetAllocs(t, sys.SiteAt(0), "noop", folder.NewBriefcase())
+	t.Logf("%.1f allocs per meet (cap %d)", n, allocCap)
+	if n > allocCap {
+		t.Fatalf("local meet allocates %.1f times per op, cap %d", n, allocCap)
+	}
+}
+
+// TestCabinetMeetAllocs caps a realistic service meet at 3 allocations: the
+// agent reads an argument, records the visit in the site cabinet, and hands
+// back a snapshot of a 256-element site folder through the briefcase.
+func TestCabinetMeetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const allocCap = 3
+	sys := NewSystem(1, SystemConfig{Seed: 7})
+	s := sys.SiteAt(0)
+	payload := bytes.Repeat([]byte("d"), 64)
+	for i := 0; i < 256; i++ {
+		s.Cabinet().Append("DATA", payload)
+	}
+	s.Register("visit", AgentFunc(func(mc *MeetContext, bc *folder.Briefcase) error {
+		id, err := bc.GetString("REQ")
+		if err != nil {
+			return err
+		}
+		mc.Site.Cabinet().TestAndAppendString("SEEN", id)
+		bc.Put(folder.ResultFolder, mc.Site.Cabinet().Snapshot("DATA"))
+		return nil
+	}))
+	bc := folder.NewBriefcase()
+	bc.PutString("REQ", "client-0")
+	n := meetAllocs(t, s, "visit", bc)
+	t.Logf("%.1f allocs per meet (cap %d)", n, allocCap)
+	if n > allocCap {
+		t.Fatalf("cabinet meet allocates %.1f times per op, cap %d", n, allocCap)
+	}
+	if got := s.Cabinet().Snapshot("SEEN").Len(); got != 1 {
+		t.Errorf("SEEN holds %d visits, want 1", got)
 	}
 }

@@ -333,7 +333,7 @@ func TestParkedAgentsAddNoGoroutinesSite(t *testing.T) {
 
 // TestMillionIdleAgentsUnderGigabyte is the ROADMAP memory target: one
 // million parked agents in under 1 GB of heap. ~20s of Park calls, so
-// -short skips it; the tacobench parked lane covers the 100k point in CI.
+// -short skips it; CI's goroutine-leak step runs it.
 func TestMillionIdleAgentsUnderGigabyte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-agent RSS assertion skipped in -short")

@@ -11,9 +11,9 @@ import (
 // by a 64-bit FNV-1a content hash. Lookups are lock-free reads of an
 // immutable copy-on-write map, so concurrent activations — even of the very
 // same script — never touch a shared mutex: an RLock here still bounces the
-// lock word between cores on every activation, which the GOMAXPROCS sweep
-// (tacobench -cpus) surfaces as the first contention point on the scripted
-// meet path. Writes (one per distinct script, ever) copy the shard map.
+// lock word between cores on every activation, which a GOMAXPROCS sweep
+// showed as the first contention point on the scripted meet path. Writes
+// (one per distinct script, ever) copy the shard map.
 // Agent code is an uninterpreted byte string that travels verbatim in the
 // CODE folder — and signed briefcases keep it byte-identical across every
 // hop of an itinerary (guard.Sign covers CODE, so a mutated script is

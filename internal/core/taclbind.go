@@ -535,27 +535,6 @@ func hostSpawn(in *tacl.Interp, args []string) (string, error) {
 	return "", err
 }
 
-// ScriptWorkloadSrc is the loop-heavy TacL agent that benchmarks the
-// scripted-agent hot path: 100 iterations of briefcase push/pop, an
-// expr-gated cabinet visit, and arithmetic in the while condition — ~800
-// interpreter steps exercising expr evaluation, control-flow bodies, and
-// host-command dispatch. BenchmarkScriptedMeet (hotpath_bench_test.go) and
-// the tacobench `script` lane both run exactly this constant, so the CI
-// gate and the Go benchmark always measure the same workload.
-const ScriptWorkloadSrc = `
-set total 0
-set i 0
-while {$i < 100} {
-	bc_push WORK [format "item-%d" $i]
-	set v [bc_pop WORK]
-	if {[cab_visit SEEN $v]} {
-		set total [expr {$total + 1}]
-	}
-	set i [expr {$i + 1}]
-}
-bc_putlist OUT [list $total]
-`
-
 // RunScript is a convenience for injecting a TacL agent into the system
 // from Go: it wraps src into a CODE folder on bc (creating bc when nil) and
 // meets ag_tacl at the site as an external client.

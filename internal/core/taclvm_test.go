@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -26,13 +27,31 @@ while {$i < 3} { bc_push LOCKED [format "x-%d" $i]; set i [expr $i + 1] }`
 	if !errors.Is(err, folder.ErrFrozen) {
 		t.Fatalf("want ErrFrozen, got %v", err)
 	}
-	const want = `tacl: line 1: bc_push: folder: folder is frozen: "LOCKED"`
+	const want = `tacl: line 2: bc_push: folder: folder is frozen: "LOCKED"`
 	if err.Error() != want {
 		t.Errorf("error %q, want %q", err.Error(), want)
 	}
 }
 
-// TestScriptWorkloadOut runs the benchmark workload and checks the OUT it
+// scriptWorkloadSrc is a loop-heavy TacL agent for the scripted-agent hot
+// path: 100 iterations of briefcase push/pop, an expr-gated cabinet visit,
+// and arithmetic in the while condition — ~800 interpreter steps exercising
+// expr evaluation, control-flow bodies, and host-command dispatch.
+const scriptWorkloadSrc = `
+set total 0
+set i 0
+while {$i < 100} {
+	bc_push WORK [format "item-%d" $i]
+	set v [bc_pop WORK]
+	if {[cab_visit SEEN $v]} {
+		set total [expr {$total + 1}]
+	}
+	set i [expr {$i + 1}]
+}
+bc_putlist OUT [list $total]
+`
+
+// TestScriptWorkloadOut runs the loop-heavy workload and checks the OUT it
 // leaves against a Go recomputation: every item is fresh on the first run
 // at a site and seen on the second.
 func TestScriptWorkloadOut(t *testing.T) {
@@ -46,7 +65,7 @@ func TestScriptWorkloadOut(t *testing.T) {
 				total++
 			}
 		}
-		bc, err := RunScript(context.Background(), sys.SiteAt(0), ScriptWorkloadSrc, nil)
+		bc, err := RunScript(context.Background(), sys.SiteAt(0), scriptWorkloadSrc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +75,8 @@ func TestScriptWorkloadOut(t *testing.T) {
 	}
 }
 
-// TestScriptWorkloadMeetAllocs is the tier-1 allocation cap of the script
-// lane: a local ag_tacl meet of ScriptWorkloadSrc, in the steady state,
+// TestScriptWorkloadMeetAllocs is the allocation cap of a scripted meet: a
+// local ag_tacl meet of scriptWorkloadSrc, in the steady state,
 // stays within 16 allocations.
 func TestScriptWorkloadMeetAllocs(t *testing.T) {
 	if raceEnabled {
@@ -67,7 +86,7 @@ func TestScriptWorkloadMeetAllocs(t *testing.T) {
 	s := NewSite(vnet.NewNetwork().AddNode("alloc"), SiteConfig{Seed: 1})
 	meet := func() {
 		bc := folder.NewBriefcase()
-		bc.Ensure(folder.CodeFolder).PushString(ScriptWorkloadSrc)
+		bc.Ensure(folder.CodeFolder).PushString(scriptWorkloadSrc)
 		if err := s.MeetClient(context.Background(), AgTacl, bc); err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +98,38 @@ func TestScriptWorkloadMeetAllocs(t *testing.T) {
 	t.Logf("%.1f allocs per meet (cap %d)", n, allocCap)
 	if n > allocCap {
 		t.Fatalf("script-workload meet allocates %.1f times per op, cap %d", n, allocCap)
+	}
+}
+
+// TestHeavyScriptOut runs testdata/heavy.tacl (proc calls, cabinet
+// bookkeeping, string assembly) and checks the OUT it leaves against a Go
+// recomputation: the loop count, the SEEN entries and the length of parts.
+func TestHeavyScriptOut(t *testing.T) {
+	src, err := os.ReadFile("testdata/heavy.tacl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	var parts strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&parts, "item-%d,", i)
+	}
+	sys := NewSystem(1, SystemConfig{})
+	bc, err := RunScript(context.Background(), sys.SiteAt(0), string(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := sys.SiteAt(0).Cabinet().Snapshot("SEEN").Len()
+	if seen != n {
+		t.Errorf("SEEN holds %d names, want %d", seen, n)
+	}
+	want := fmt.Sprint(n, " ", seen, " ", parts.Len())
+	out, err := bc.Folder("OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(out.Strings(), " "); got != want {
+		t.Errorf("OUT = %q, want %q", got, want)
 	}
 }
 

@@ -169,13 +169,12 @@ func cmdIf(in *Interp, args []string) (string, error) {
 		if i+1 >= len(args) {
 			return "", errors.New(`wrong # args: should be "if cond body ?elseif cond body? ?else body?"`)
 		}
-		cond, body := args[i], args[i+1]
-		ok, err := exprTruthy(in, cond)
+		ok, err := exprTruthy(in, args[i])
 		if err != nil {
 			return "", err
 		}
 		if ok {
-			return in.EvalCached(body)
+			return in.evalBody(args, i+1)
 		}
 		i += 2
 		if i >= len(args) {
@@ -188,7 +187,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 			if i+1 != len(args)-1 {
 				return "", errors.New("extra args after else body")
 			}
-			return in.EvalCached(args[i+1])
+			return in.evalBody(args, i+1)
 		default:
 			return "", fmt.Errorf("expected elseif or else, got %q", args[i])
 		}
@@ -209,7 +208,7 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 		if !ok {
 			return "", nil
 		}
-		if _, err := in.EvalCached(args[1]); err != nil {
+		if _, err := in.evalBody(args, 1); err != nil {
 			if err == errBreak {
 				return "", nil
 			}
@@ -234,7 +233,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 		return "", err
 	}
 	line := in.curLine
-	if _, err := in.EvalCached(args[0]); err != nil {
+	if _, err := in.evalBody(args, 0); err != nil {
 		return "", err
 	}
 	for {
@@ -246,7 +245,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 		if !ok {
 			return "", nil
 		}
-		if _, err := in.EvalCached(args[3]); err != nil {
+		if _, err := in.evalBody(args, 3); err != nil {
 			if err == errBreak {
 				return "", nil
 			}
@@ -254,7 +253,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 				return "", err
 			}
 		}
-		if _, err := in.EvalCached(args[2]); err != nil {
+		if _, err := in.evalBody(args, 2); err != nil {
 			return "", err
 		}
 		// Charge spin iterations that evaluated no commands; see cmdWhile.
@@ -278,7 +277,7 @@ func cmdForeach(in *Interp, args []string) (string, error) {
 	for _, e := range elems {
 		s0 := in.Steps
 		in.setVar(args[0], e)
-		if _, err := in.EvalCached(args[2]); err != nil {
+		if _, err := in.evalBody(args, 2); err != nil {
 			if err == errBreak {
 				return "", nil
 			}
@@ -737,24 +736,32 @@ func cmdString(in *Interp, args []string) (string, error) {
 	}
 }
 
-// globMatch implements Tcl's simple glob matching: * ? and literal chars.
+// globMatch implements Tcl's simple glob matching: * ? and literal chars,
+// byte by byte. It keeps one backtrack point, the last '*' seen: a mismatch
+// after it lets that star absorb one more byte and retries from there, so a
+// match costs O(len(pattern)·len(s)) however many stars the pattern holds.
 func globMatch(pattern, s string) bool {
-	if pattern == "" {
-		return s == ""
-	}
-	switch pattern[0] {
-	case '*':
-		for i := 0; i <= len(s); i++ {
-			if globMatch(pattern[1:], s[i:]) {
-				return true
-			}
+	p, i := 0, 0
+	star, next := -1, 0 // the last '*' in pattern, and where in s it stops
+	for i < len(s) {
+		switch {
+		case p < len(pattern) && pattern[p] == '*':
+			star, next = p, i
+			p++
+		case p < len(pattern) && (pattern[p] == '?' || pattern[p] == s[i]):
+			p++
+			i++
+		case star >= 0:
+			next++
+			p, i = star+1, next
+		default:
+			return false
 		}
-		return false
-	case '?':
-		return s != "" && globMatch(pattern[1:], s[1:])
-	default:
-		return s != "" && s[0] == pattern[0] && globMatch(pattern[1:], s[1:])
 	}
+	for p < len(pattern) && pattern[p] == '*' {
+		p++
+	}
+	return p == len(pattern)
 }
 
 func cmdFormat(in *Interp, args []string) (string, error) {

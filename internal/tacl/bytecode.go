@@ -210,6 +210,11 @@ type compiler struct {
 	exprIdx  map[string]int32
 	symIdx   map[*symbol]int32
 	inline   int
+	// lineOff is added to every command's line: inside an inlined body it
+	// is the line the body's word starts on, less one, so a body's commands
+	// report the lines of the script they were written in, not of the
+	// body's own parse, which starts at 1.
+	lineOff int32
 	// pendingArgs tracks how many argument words of enclosing calls are on
 	// the scratch stack at the current emission point (see region.scratch).
 	pendingArgs int32
@@ -477,8 +482,20 @@ func (c *compiler) compileCmds(cmds []command) {
 	}
 }
 
+// lineOf is cmd's line in the script being compiled.
+func (c *compiler) lineOf(cmd *command) int32 { return int32(cmd.line) + c.lineOff }
+
+// compileBody inlines body, the parse of word w of the command being
+// compiled, numbering its lines from the line w starts on.
+func (c *compiler) compileBody(w *word, body *Script) {
+	saved := c.lineOff
+	c.lineOff += int32(w.line) - 1
+	c.compileCmds(body.cmds)
+	c.lineOff = saved
+}
+
 func (c *compiler) compileCommand(cmd *command) {
-	line := int32(cmd.line)
+	line := c.lineOf(cmd)
 	c.emit(vmOp{code: opStep, line: line})
 	name, nameConst := constWord(&cmd.words[0])
 	if nameConst && c.inline < maxInlineDepth {
@@ -603,7 +620,7 @@ func (c *compiler) emitGuard(cmd *command, kind uint8, dyn int32) int32 {
 			args[i], _ = constWord(&cmd.words[i])
 		}
 	}
-	c.emit(vmOp{code: opCallShadow, line: int32(cmd.line), a: c.argListRef(args), c: dyn})
+	c.emit(vmOp{code: opCallShadow, line: c.lineOf(cmd), a: c.argListRef(args), c: dyn})
 	exit := c.emit(vmOp{code: opJump})
 	c.patchB(g, c.pc())
 	return exit
@@ -631,7 +648,7 @@ func (c *compiler) trySet(cmd *command) bool {
 	}
 	c.compileArg(&cmd.words[2])
 	exit := c.emitGuard(cmd, kindSet, 2)
-	c.emit(vmOp{code: opStoreSlot, line: int32(cmd.line), a: c.constRef(name), b: slot})
+	c.emit(vmOp{code: opStoreSlot, line: c.lineOf(cmd), a: c.constRef(name), b: slot})
 	c.patchExit(exit, c.pc())
 	return true
 }
@@ -664,7 +681,7 @@ func (c *compiler) tryIncr(cmd *command) bool {
 		return false
 	}
 	exit := c.emitGuard(cmd, kindIncr, -1)
-	c.emit(vmOp{code: opIncrSlot, line: int32(cmd.line), a: c.constRef(name), b: slot, c: int32(delta)})
+	c.emit(vmOp{code: opIncrSlot, line: c.lineOf(cmd), a: c.constRef(name), b: slot, c: int32(delta)})
 	c.patchExit(exit, c.pc())
 	return true
 }
@@ -676,7 +693,7 @@ func (c *compiler) tryExpr(cmd *command) bool {
 	}
 	src := strings.Join(args[1:], " ")
 	exit := c.emitGuard(cmd, kindExpr, -1)
-	c.emit(vmOp{code: opExpr, line: int32(cmd.line), a: c.exprRefIdx(src)})
+	c.emit(vmOp{code: opExpr, line: c.lineOf(cmd), a: c.exprRefIdx(src)})
 	c.patchExit(exit, c.pc())
 	return true
 }
@@ -696,12 +713,12 @@ func (c *compiler) tryWhile(cmd *command) bool {
 	}
 	sh := c.emitGuard(cmd, kindWhile, -1)
 	slot := c.newSlot()
-	line := int32(cmd.line)
+	line := c.lineOf(cmd)
 	top := c.pc()
 	cj := c.emit(vmOp{code: opCondJump, line: line, a: c.exprRefIdx(cond), c: slot})
 	c.inline++
 	bodyStart := c.pc()
-	c.compileCmds(bodyScript.cmds)
+	c.compileBody(&cmd.words[2], bodyScript)
 	bodyEnd := c.pc()
 	c.inline--
 	bot := c.emit(vmOp{code: opLoopBottom, line: line, a: slot, b: top})
@@ -740,17 +757,17 @@ func (c *compiler) tryFor(cmd *command) bool {
 	}
 	sh := c.emitGuard(cmd, kindFor, -1)
 	slot := c.newSlot()
-	line := int32(cmd.line)
+	line := c.lineOf(cmd)
 	c.inline++
 	initStart := c.pc()
-	c.compileCmds(initScript.cmds)
+	c.compileBody(&cmd.words[1], initScript)
 	top := c.pc()
 	cj := c.emit(vmOp{code: opCondJump, line: line, a: c.exprRefIdx(lit[1]), c: slot})
 	bodyStart := c.pc()
-	c.compileCmds(bodyScript.cmds)
+	c.compileBody(&cmd.words[4], bodyScript)
 	bodyEnd := c.pc()
 	stepStart := c.pc()
-	c.compileCmds(stepScript.cmds)
+	c.compileBody(&cmd.words[3], stepScript)
 	c.inline--
 	c.emit(vmOp{code: opLoopBottom, line: line, a: slot, b: top})
 	exit := c.emit(vmOp{code: opResult, a: c.constRef("")})
@@ -781,12 +798,12 @@ func (c *compiler) tryForeach(cmd *command) bool {
 	c.compileArg(&cmd.words[2])
 	sh := c.emitGuard(cmd, kindForeach, 2)
 	slot := c.newSlot()
-	line := int32(cmd.line)
+	line := c.lineOf(cmd)
 	initPC := c.emit(vmOp{code: opForeachInit, line: line, a: slot})
 	top := c.emit(vmOp{code: opForeachNext, line: line, a: slot, c: c.constRef(varName), d: c.varRef(varName)})
 	c.inline++
 	bodyStart := c.pc()
-	c.compileCmds(bodyScript.cmds)
+	c.compileBody(&cmd.words[3], bodyScript)
 	bodyEnd := c.pc()
 	c.inline--
 	bot := c.emit(vmOp{code: opLoopBottom, line: line, a: slot, b: top})
@@ -808,6 +825,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 	type branch struct {
 		cond    string
 		body    *Script
+		word    *word // the body's word
 		hasCond bool
 	}
 	var branches []branch
@@ -820,7 +838,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 		if err != nil {
 			return false
 		}
-		branches = append(branches, branch{cond: args[i], body: body, hasCond: true})
+		branches = append(branches, branch{cond: args[i], body: body, word: &cmd.words[i+2], hasCond: true})
 		i += 2
 		if i >= len(args) {
 			break
@@ -836,7 +854,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 			if err != nil {
 				return false
 			}
-			branches = append(branches, branch{body: body})
+			branches = append(branches, branch{body: body, word: &cmd.words[i+2]})
 			i = len(args)
 		default:
 			return false
@@ -846,7 +864,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 		}
 	}
 	sh := c.emitGuard(cmd, kindIf, -1)
-	line := int32(cmd.line)
+	line := c.lineOf(cmd)
 	start := c.pc()
 	emptyIdx := c.constRef("")
 	var endJumps []int32
@@ -859,7 +877,7 @@ func (c *compiler) tryIf(cmd *command) bool {
 		if len(b.body.cmds) == 0 {
 			c.emit(vmOp{code: opResult, a: emptyIdx})
 		} else {
-			c.compileCmds(b.body.cmds)
+			c.compileBody(b.word, b.body)
 		}
 		if b.hasCond {
 			endJumps = append(endJumps, c.emit(vmOp{code: opJump}))

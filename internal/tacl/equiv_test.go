@@ -3,6 +3,7 @@ package tacl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -435,6 +436,56 @@ func TestMalformedExprRunsNothing(t *testing.T) {
 			if in.Steps != tc.steps {
 				t.Errorf("%s: %q: %d steps, want %d", e.name, tc.src, in.Steps, tc.steps)
 			}
+		}
+	}
+}
+
+// TestInlinedBodyLines pins the line an error inside a multi-line body
+// reports, on both engines: the line it sits on in the script, wherever
+// the compiler inlines the body; proc bodies count from the proc's own
+// first line, as in Tcl, and so does a body the builtin runs, which is
+// parsed on its own.
+func TestInlinedBodyLines(t *testing.T) {
+	for _, tc := range []struct{ src, errText string }{
+		{"set i 0\nwhile {$i < 1} {\n\tincr i\n\tnosuch\n}",
+			`tacl: line 4: unknown command "nosuch"`},
+		{"set x 2\nif {$x == 1} {\n\tset y 1\n} elseif {$x == 2} {\n\n\tnosuch\n} else {\n\tset y 3\n}",
+			`tacl: line 6: unknown command "nosuch"`},
+		{"if {0} {\n} else {\n\tset y 3\n\tnosuch\n}",
+			`tacl: line 4: unknown command "nosuch"`},
+		{"for {set i 0\n} {$i < 1} {incr i\n\tnosuch\n} {\n\tset y $i\n}",
+			`tacl: line 3: unknown command "nosuch"`},
+		{"foreach v {a b} {\n\tforeach w {c} {\n\t\tset z $v$w\n\t\tincr z\n\t}\n}",
+			`tacl: line 4: incr: expected integer in "z", got "ac"`},
+		{"while {1} {\n\tset v [\n\t\tnosuch]\n}",
+			`tacl: line 3: unknown command "nosuch"`},
+		{"while {1} {\n\tset v [if {1} {\n\t\tnosuch\n\t}]\n}",
+			`tacl: line 3: unknown command "nosuch"`},
+		{"\n\nproc p {} {\n\tnosuch\n}\nwhile {1} {\n\tp\n}",
+			`tacl: line 2: unknown command "nosuch"`},
+		// A dynamic condition keeps the builtin: the body's parse is its own.
+		{"set c 1\nwhile $c {\n\tset c 0\n\tnosuch\n}",
+			`tacl: line 3: unknown command "nosuch"`},
+		{"set i 0\nwhile {$i < 5} {\n\tincr i\n\n\tset j $i\n}",
+			fmt.Sprintf("tacl: line 2: while: %v after 4 steps (line 3)", ErrBudget)},
+	} {
+		for _, e := range allEngines {
+			in := newEngine(e.ref)
+			if strings.Contains(tc.errText, "budget") {
+				in.MaxSteps = 4
+			}
+			if _, err := in.Eval(tc.src); err == nil || err.Error() != tc.errText {
+				t.Errorf("%s: %q: err = %v, want %q", e.name, tc.src, err, tc.errText)
+			}
+		}
+	}
+	// Past maxInlineDepth the compiler stops inlining, and the reference
+	// must stop offsetting at the same depth.
+	for _, depth := range []int{maxInlineDepth - 1, maxInlineDepth, maxInlineDepth + 2} {
+		src := strings.Repeat("if {1} {\n", depth) + "set v [\nnosuch]\n" + strings.Repeat("}\n", depth)
+		want := runEquiv(src, true, 0)
+		if got := runEquiv(src, false, 0); got != want || !want.isErr {
+			t.Errorf("depth %d:\n  vm:        %+v\n  reference: %+v", depth, got, want)
 		}
 	}
 }

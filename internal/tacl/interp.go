@@ -53,8 +53,9 @@ type Interp struct {
 
 	depth int
 	// oracle is the test seam: the package tests install their reference
-	// interpreter here, and EvalScript and evalExpr hand off to it, to
-	// check the VM differentially. Always nil in production; Put clears it.
+	// interpreter here, and EvalScript, evalExpr and evalBody hand off to
+	// it, to check the VM differentially. Always nil in production; Put
+	// clears it.
 	oracle evaluator
 	// curLine is the source line of the command currently dispatching; the
 	// loop builtins read it so their per-iteration step charge reports the
@@ -106,6 +107,7 @@ type CmdFunc func(in *Interp, args []string) (string, error)
 type evaluator interface {
 	evalScript(in *Interp, s *Script) (string, error)
 	evalExpr(in *Interp, src string) (string, error)
+	evalBody(in *Interp, args []string, i int) (string, error)
 }
 
 type procDef struct {
@@ -608,6 +610,18 @@ func (in *Interp) EvalCached(src string) (string, error) {
 		return "", err
 	}
 	return in.EvalScript(s)
+}
+
+// evalBody runs args[i], one body of a control builtin called with args,
+// through the parse cache. It is a seam for the test oracle: where the VM
+// inlines the construct, the body's commands report their lines in the
+// enclosing script, and to do the same the oracle must know which word of
+// the command the body is.
+func (in *Interp) evalBody(args []string, i int) (string, error) {
+	if in.oracle != nil {
+		return in.oracle.evalBody(in, args, i)
+	}
+	return in.EvalCached(args[i])
 }
 
 // EvalScript runs a previously parsed script: lowered to bytecode on first

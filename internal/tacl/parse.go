@@ -48,6 +48,7 @@ type segment struct {
 // word is a sequence of segments concatenated after substitution.
 type word struct {
 	segs []segment
+	line int // the line the word starts on
 }
 
 // command is one command invocation: a list of words, the first of which
@@ -199,10 +200,12 @@ func (p *parser) parseCommand(depth int) (command, error) {
 		case depth > 0 && c == ']':
 			return cmd, nil
 		}
+		line := p.line
 		w, err := p.parseWord(depth)
 		if err != nil {
 			return cmd, err
 		}
+		w.line = line
 		cmd.words = append(cmd.words, w)
 	}
 }

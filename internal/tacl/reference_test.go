@@ -10,59 +10,136 @@ import (
 // kept as the oracle the VM is differentially tested against. It walks a
 // parsed script command by command and word by word, and evaluates
 // expressions by re-scanning their source on every evaluation. A test
-// installs it with useReference; EvalScript and evalExpr then hand off
-// to it, so builtins, procs and host commands run unchanged around it.
+// installs it with useReference; EvalScript, evalExpr and evalBody then
+// hand off to it, so builtins, procs and host commands run unchanged
+// around it.
 //
 // It applies the two compile-time rules the VM does before running
 // anything: a script that does not compile fails with ErrCompile, and a
 // malformed expression fails with its compile error, so no operand runs.
+//
+// It also numbers lines as the compiler does. The compiler inlines the
+// bodies of if/while/for/foreach (and [cmd] substitutions) into the
+// enclosing program up to maxInlineDepth, and an inlined body's commands
+// report their lines in the enclosing script; a body run by the builtin
+// instead starts again at line 1, as does every script run as a program of
+// its own (a proc body, an eval, an expression's [cmd]).
 
-type reference struct{}
+type reference struct {
+	refPlace
+	// next places the next script evalScript runs; nil runs it as a
+	// program of its own.
+	next *refPlace
+	// construct is the command being dispatched whose bodies the compiler
+	// inlines; evalBody recognises its builtin by the argument slice.
+	construct *refConstruct
+}
+
+// refPlace is where the running script's code sits in the compiled
+// program: lineOff is added to its commands' lines, and inline counts the
+// inlined bodies and substitutions around it, as compiler.inline does.
+type refPlace struct{ lineOff, inline int }
+
+type refConstruct struct {
+	refPlace
+	cmd  *command
+	args []string // what the builtin receives: the words after the name
+}
 
 // useReference switches in to the reference interpreter.
-func useReference(in *Interp) { in.oracle = reference{} }
+func useReference(in *Interp) { in.oracle = &reference{} }
 
-func (reference) evalScript(in *Interp, s *Script) (string, error) {
+func (r *reference) evalScript(in *Interp, s *Script) (string, error) {
+	saved, savedCons := r.refPlace, r.construct
+	r.refPlace, r.construct = refPlace{}, nil
+	if r.next != nil {
+		r.refPlace, r.next = *r.next, nil
+	}
+	defer func() { r.refPlace, r.construct = saved, savedCons }()
 	if _, err := s.compiled(); err != nil {
 		return "", err
 	}
 	var result string
 	for i := range s.cmds {
-		r, err := in.evalCommand(&s.cmds[i])
+		res, err := r.evalCommand(in, &s.cmds[i])
 		if err != nil {
 			return "", err
 		}
-		result = r
+		result = res
 	}
 	return result, nil
 }
 
-func (reference) evalExpr(in *Interp, src string) (string, error) {
+func (r *reference) evalExpr(in *Interp, src string) (string, error) {
 	if _, err := compileExpr(src); err != nil {
 		return "", fmt.Errorf("expr %q: %w", src, err)
 	}
 	return evalExprDirect(in, src)
 }
 
+// evalBody runs body i of the builtin called with args. When that call is
+// the construct being dispatched, the body is placed where the compiler
+// inlines it: numbered from the line its word starts on, one level deeper.
+func (r *reference) evalBody(in *Interp, args []string, i int) (string, error) {
+	s, err := ParseCached(args[i])
+	if err != nil {
+		return "", err
+	}
+	if k := r.construct; k != nil && len(k.args) > 0 && &args[0] == &k.args[0] {
+		r.next = &refPlace{k.lineOff + k.cmd.words[i+1].line - 1, k.inline + 1}
+	}
+	return in.EvalScript(s)
+}
+
+// inlines reports whether the compiler inlines c's construct at this depth
+// and, at run time, the construct's name is not shadowed, so its bodies run
+// as part of the enclosing program.
+func (r *reference) inlines(in *Interp, c *command) bool {
+	name, ok := constWord(&c.words[0])
+	if !ok || r.inline >= maxInlineDepth {
+		return false
+	}
+	cc := newCompiler(nil)
+	cc.inline = r.inline
+	switch name {
+	case "if":
+		return !in.cmdShadowed(kindIf) && cc.tryIf(c)
+	case "while":
+		return !in.cmdShadowed(kindWhile) && cc.tryWhile(c)
+	case "for":
+		return !in.cmdShadowed(kindFor) && cc.tryFor(c)
+	case "foreach":
+		return !in.cmdShadowed(kindForeach) && cc.tryForeach(c)
+	}
+	return false
+}
+
 // evalCommand charges the command's step, evaluates its words left to
 // right and dispatches by name at call time.
-func (in *Interp) evalCommand(c *command) (string, error) {
-	if err := in.chargeStep(c.line); err != nil {
+func (r *reference) evalCommand(in *Interp, c *command) (string, error) {
+	line := c.line + r.lineOff
+	if err := in.chargeStep(line); err != nil {
 		return "", err
 	}
 	base := len(in.argScratch)
 	defer func() { in.argScratch = in.argScratch[:base] }()
 	for i := range c.words {
-		v, err := in.evalWord(&c.words[i])
+		v, err := r.evalWord(in, &c.words[i])
 		if err != nil {
 			return "", err
 		}
 		in.argScratch = append(in.argScratch, v)
 	}
-	return in.dispatchDyn(in.argScratch[base:], c.line)
+	args := in.argScratch[base:]
+	if r.inlines(in, c) {
+		saved := r.construct
+		r.construct = &refConstruct{refPlace: r.refPlace, cmd: c, args: args[1:]}
+		defer func() { r.construct = saved }()
+	}
+	return in.dispatchDyn(args, line)
 }
 
-func (in *Interp) evalWord(w *word) (string, error) {
+func (r *reference) evalWord(in *Interp, w *word) (string, error) {
 	var sb strings.Builder
 	for i := range w.segs {
 		seg := &w.segs[i]
@@ -80,6 +157,9 @@ func (in *Interp) evalWord(w *word) (string, error) {
 			if in.depth > maxDepth {
 				in.depth--
 				return "", ErrDepth
+			}
+			if r.inline < maxInlineDepth {
+				r.next = &refPlace{r.lineOff, r.inline + 1}
 			}
 			v, err := in.EvalScript(seg.script)
 			in.depth--
