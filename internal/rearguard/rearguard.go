@@ -100,15 +100,16 @@ type Result struct {
 
 // guard is one armed rear guard.
 type guard struct {
-	id     string
-	hop    int // the hop index the guard would relaunch
-	watch  vnet.SiteID
-	bc     *folder.Briefcase // checkpoint to relaunch with
-	cancel chan struct{}
-	once   sync.Once
+	id    string
+	hop   int // the hop index the guard would relaunch
+	watch vnet.SiteID
+	bc    *folder.Briefcase // checkpoint to relaunch with
+	// inc is watch's incarnation as of the protected agent's departure
+	// (-1 until a probe answers); misses counts failed probes in a row.
+	// Both are held under Manager.mu.
+	inc    int64
+	misses int
 }
-
-func (g *guard) release() { g.once.Do(func() { close(g.cancel) }) }
 
 // Manager runs the rear-guard machinery at one site. Install one per site.
 type Manager struct {
@@ -121,6 +122,9 @@ type Manager struct {
 	mu      sync.Mutex
 	guards  map[string]*guard      // key: id "/" hop
 	waiters map[string]chan Result // home-site completion channels
+	// watched holds the guards watching each site; a site has exactly one
+	// watcher goroutine while it has an entry here.
+	watched map[vnet.SiteID]map[*guard]bool
 }
 
 // Install registers the rear-guard agents at a site and returns the
@@ -132,6 +136,7 @@ func Install(site *core.Site) *Manager {
 		Misses:   2,
 		guards:   make(map[string]*guard),
 		waiters:  make(map[string]chan Result),
+		watched:  make(map[vnet.SiteID]map[*guard]bool),
 	}
 	site.Register(AgHop, core.AgentFunc(m.hop))
 	site.Register(AgGuard, core.AgentFunc(m.guardOps))
@@ -194,11 +199,6 @@ func (m *Manager) syncCheckpoint(op string) {
 	}
 }
 
-// unpersistGuard drops a released guard's checkpoint.
-func (m *Manager) unpersistGuard(id string, hop int) {
-	m.site.Cabinet().Delete(ArmFolderPrefix + guardKey(id, hop))
-}
-
 // Recover re-arms every guard whose checkpoint survives in the site
 // cabinet, returning how many were restored. Call it after the cabinet has
 // been recovered from stable storage (tacomad does, right after its WAL
@@ -221,17 +221,13 @@ func (m *Manager) Recover() int {
 			m.site.Cabinet().Delete(name)
 			continue
 		}
-		hop, err := strconv.Atoi(hopStr)
-		if err != nil {
+		hop, err4 := strconv.Atoi(hopStr)
+		bc, err5 := folder.DecodeBriefcase(enc)
+		if err4 != nil || err5 != nil {
 			m.site.Cabinet().Delete(name)
 			continue
 		}
-		bc, err := folder.DecodeBriefcase(enc)
-		if err != nil {
-			m.site.Cabinet().Delete(name)
-			continue
-		}
-		m.armGuard(id, hop, vnet.SiteID(watch), bc, false)
+		m.arm(&guard{id: id, hop: hop, watch: vnet.SiteID(watch), bc: bc, inc: -1}, false)
 		n++
 	}
 	return n
@@ -270,21 +266,27 @@ func (m *Manager) Launch(ctx context.Context, cfg Config, payload *folder.Briefc
 	// (when guards are on) and ships the agent. The briefcase carries a
 	// pointer to the armed guard (site + key) so whoever advances next
 	// knows exactly whom to dismiss — after a relaunch the guard does NOT
-	// sit where the itinerary would suggest.
+	// sit where the itinerary would suggest. The guard's baseline probe
+	// precedes the ship, so a later crash and restart of the first site is
+	// always seen; a failed baseline probe is the guard's first miss.
 	first := cfg.Itinerary[0]
 	if cfg.Guards {
 		bc.PutString(guardSiteFolder, string(m.site.ID()))
 		bc.PutString(guardHopFolder, "0")
-		m.arm(cfg.ID, 0, first, bc.Clone())
+		g := &guard{id: cfg.ID, watch: first, bc: bc.Clone(), inc: -1}
+		if inc, err := m.site.PingIncarnation(ctx, first, 0); err == nil {
+			g.inc = inc
+		} else {
+			g.misses = 1
+		}
+		m.arm(g, true)
 	}
-	// The first move outlives the launcher's context: Launch returns at
-	// once, and the caller waits on the channel, not on ctx.
+	// The first move outlives the launcher's context: the caller waits on
+	// the channel, not on ctx. Without guards a failed first move is
+	// simply a lost agent.
 	site := m.site
 	site.ShipDetached(ctx, func(ctx context.Context) {
-		if err := site.RemoteMeet(ctx, first, AgHop, bc.Clone()); err != nil && !cfg.Guards {
-			// Without guards a failed initial move is simply a lost agent.
-			return
-		}
+		_ = site.RemoteMeet(ctx, first, AgHop, bc.Clone())
 	})
 	return ch, nil
 }
@@ -339,58 +341,51 @@ func (m *Manager) hop(mc *core.MeetContext, bc *folder.Briefcase) error {
 // arming a new guard here and releasing the one behind.
 func (m *Manager) advance(ctx context.Context, bc *folder.Briefcase, id string, hop int, itin *folder.Folder) error {
 	guarded := bc.Has(GuardedFolder)
-
-	next := hop + 1
-	if next >= itin.Len() {
-		// Journey complete: deliver home, then dismiss the guard behind.
-		origin, _ := bc.GetString(OriginFolder)
-		err := m.site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, bc.Clone())
-		if guarded {
-			m.releaseBehind(ctx, bc, id)
-		}
-		return err
-	}
+	// Who currently guards us: dismissed once we have moved on.
+	oldSite, _ := bc.GetString(guardSiteFolder)
+	oldKey, _ := bc.GetString(guardHopFolder)
 
 	// Find the next live site, skipping dead ones. The mover observes
 	// move failures synchronously; the guard only covers failures after
-	// a successful handoff.
-	dest := vnet.SiteID("")
+	// a successful handoff, and the probe that picks dest is its baseline.
+	dest, destInc := vnet.SiteID(""), int64(-1)
+	next := hop + 1
 	for ; next < itin.Len(); next++ {
 		cand, _ := itin.StringAt(next)
-		if err := m.site.Ping(ctx, vnet.SiteID(cand), 0); err == nil {
-			dest = vnet.SiteID(cand)
+		if inc, err := m.site.PingIncarnation(ctx, vnet.SiteID(cand), 0); err == nil {
+			dest, destInc = vnet.SiteID(cand), inc
 			break
 		}
 		bc.Ensure(SkippedFolder).PushString(cand)
 	}
 	if dest == "" {
-		// Nothing left alive: deliver what we have, flagged.
+		// Journey complete, or nothing left alive (flagged): deliver home,
+		// then dismiss the guard behind.
+		if hop+1 < itin.Len() {
+			bc.Ensure(folder.ErrorFolder).PushString(ErrAllDead.Error())
+		}
 		origin, _ := bc.GetString(OriginFolder)
-		bc.Ensure(folder.ErrorFolder).PushString(ErrAllDead.Error())
 		err := m.site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, bc.Clone())
 		if guarded {
-			m.releaseBehind(ctx, bc, id)
+			m.releaseAt(ctx, oldSite, oldKey, id)
 		}
 		return err
 	}
 
-	// Remember who currently guards us, then arm the next guard here and
-	// record its pointer — the checkpoint cloned for the new guard must
-	// point at the new guard itself, so that an agent it relaunches knows
-	// to dismiss it.
-	oldSite, _ := bc.GetString(guardSiteFolder)
-	oldKey, _ := bc.GetString(guardHopFolder)
+	// Arm the next guard here and record its pointer — the checkpoint
+	// cloned for the new guard must point at the new guard itself, so that
+	// an agent it relaunches knows to dismiss it.
 	bc.PutString(HopFolder, strconv.Itoa(next))
 	if guarded {
 		bc.PutString(guardSiteFolder, string(m.site.ID()))
 		bc.PutString(guardHopFolder, strconv.Itoa(next))
-		m.arm(id, next, dest, bc.Clone())
+		m.arm(&guard{id: id, hop: next, watch: dest, bc: bc.Clone(), inc: destInc}, true)
 	}
 	// Detached move: no site holds an RPC open for the rest of the
 	// journey, so a crash here after the handoff kills nothing.
 	site := m.site
 	moveBC := bc.Clone()
-	site.Go(func() {
+	site.ShipDetached(ctx, func(ctx context.Context) {
 		if err := site.RemoteMeet(ctx, dest, AgHop, moveBC); err != nil {
 			// The handoff failed after the ping said the site was alive.
 			// The guard armed above (or an earlier one) will relaunch.
@@ -404,15 +399,8 @@ func (m *Manager) advance(ctx context.Context, bc *folder.Briefcase, id string, 
 	return nil
 }
 
-// releaseBehind dismisses the guard the briefcase points at. Failures are
-// ignored — a dead guard site needs no dismissal.
-func (m *Manager) releaseBehind(ctx context.Context, bc *folder.Briefcase, id string) {
-	gsite, _ := bc.GetString(guardSiteFolder)
-	gkey, _ := bc.GetString(guardHopFolder)
-	m.releaseAt(ctx, gsite, gkey, id)
-}
-
-// releaseAt sends a release for guard (id, key) to the named site.
+// releaseAt sends a release for guard (id, key) to the named site. Failures
+// are ignored — a dead guard site needs no dismissal.
 func (m *Manager) releaseAt(ctx context.Context, gsite, gkey, id string) {
 	if gsite == "" || gkey == "" {
 		return
@@ -422,7 +410,7 @@ func (m *Manager) releaseAt(ctx context.Context, gsite, gkey, id string) {
 	rel.PutString(IDFolder, id)
 	rel.PutString(hopOfGuard, gkey)
 	site := m.site
-	site.Go(func() {
+	site.ShipDetached(ctx, func(ctx context.Context) {
 		_ = site.RemoteMeet(ctx, vnet.SiteID(gsite), AgGuard, rel)
 	})
 }
@@ -447,106 +435,121 @@ func (m *Manager) guardOps(mc *core.MeetContext, bc *folder.Briefcase) error {
 	}
 	switch op {
 	case "release":
-		m.mu.Lock()
-		g := m.guards[guardKey(id, hop)]
-		delete(m.guards, guardKey(id, hop))
-		m.unpersistGuard(id, hop)
-		m.mu.Unlock()
-		if g != nil {
-			g.release()
-		}
+		m.release(id, hop)
 		return nil
 	default:
 		return fmt.Errorf("rg_guard: unknown op %q", op)
 	}
 }
 
-// arm starts a rear guard at this site watching the given destination: if
-// the destination stops answering pings before the guard is released, the
-// guard relaunches the computation from its checkpoint.
-func (m *Manager) arm(id string, hop int, watch vnet.SiteID, checkpoint *folder.Briefcase) {
-	m.armGuard(id, hop, watch, checkpoint, true)
-}
-
-// armGuard arms a rear guard; persist=false is the recovery path, where
-// the checkpoint being re-armed was just read from the cabinet — its
+// arm arms g at this site: if its watched site stops answering, or answers
+// under a new incarnation, before g is released, g relaunches the
+// computation from its checkpoint. persist=false is the recovery path,
+// where the checkpoint being re-armed was just read from the cabinet — its
 // durability is the very thing recovery proved, so re-journaling it (and
 // paying one fdatasync per recovered guard) would be pure waste.
-func (m *Manager) armGuard(id string, hop int, watch vnet.SiteID, checkpoint *folder.Briefcase, persist bool) {
-	g := &guard{id: id, hop: hop, watch: watch, bc: checkpoint, cancel: make(chan struct{})}
-	key := guardKey(id, hop)
+func (m *Manager) arm(g *guard, persist bool) {
+	key := guardKey(g.id, g.hop)
 	m.mu.Lock()
 	if old := m.guards[key]; old != nil {
-		old.release()
+		delete(m.watched[old.watch], old)
 	}
 	m.guards[key] = g
+	m.watchLocked(g)
 	if persist {
 		// Checkpointed under m.mu so a racing release cannot be overtaken
 		// and leave a stale checkpoint behind; the barrier below makes it
 		// durable before the agent the guard protects is allowed to move
-		// (arm is called before the detached hop meet is spawned).
+		// (arm is called before the detached hop meet is shipped).
 		m.persistGuard(g)
 	}
 	m.mu.Unlock()
 	if persist {
 		m.syncCheckpoint("arm")
 	}
-
-	site := m.site
-	site.Go(func() {
-		misses := 0
-		// Baseline the watched site's incarnation immediately: a crash and
-		// restart that both happen before the first periodic probe would
-		// otherwise go unnoticed.
-		lastInc := int64(-1)
-		if inc, err := site.PingIncarnation(context.Background(), g.watch, 0); err == nil {
-			lastInc = inc
-		}
-		ticker := time.NewTicker(m.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-g.cancel:
-				return
-			case <-ticker.C:
-				inc, err := site.PingIncarnation(context.Background(), g.watch, 0)
-				if errors.Is(err, vnet.ErrCrashed) || errors.Is(err, vnet.ErrClosed) {
-					// Our own site went down or is shutting down: the guard
-					// dies with it — without releasing, so its durable
-					// checkpoint survives for Recover to re-arm. (Without
-					// the ErrClosed case, a graceful restart's endpoint
-					// Close would drive the watcher through the all-dead
-					// relaunch path, durably deleting the very checkpoint
-					// the WAL exists to preserve.)
-					return
-				}
-				restarted := err == nil && lastInc >= 0 && inc != lastInc
-				if err == nil {
-					lastInc = inc
-					misses = 0
-				} else {
-					misses++
-				}
-				if !restarted && misses < m.Misses {
-					continue
-				}
-				// The protected agent has vanished — either the watched
-				// site stopped answering, or it answered under a new
-				// incarnation (it crashed and rebooted between probes,
-				// taking its agents with it). Relaunch from the
-				// checkpoint; hop marks in cabinets deduplicate if the
-				// original had in fact survived.
-				m.relaunch(g)
-				misses = 0
-				lastInc = -1 // the watch target may have changed
-			}
-		}
-	})
 }
 
-// relaunch re-injects the checkpointed agent at the first live site of the
-// remaining itinerary.
-func (m *Manager) relaunch(g *guard) {
+// watchLocked hands g to its watched site's watcher, starting one if the
+// site has none. Called with m.mu held.
+func (m *Manager) watchLocked(g *guard) {
+	set := m.watched[g.watch]
+	if set == nil {
+		set = make(map[*guard]bool)
+		m.watched[g.watch] = set
+		target := g.watch
+		m.site.Go(func() { m.watcher(target) })
+	}
+	set[g] = true
+}
+
+// release disarms guard (id, hop) and drops its checkpoint. Its watcher
+// sees it gone on the next tick, and exits if it was the last.
+func (m *Manager) release(id string, hop int) {
+	key := guardKey(id, hop)
+	m.mu.Lock()
+	if g := m.guards[key]; g != nil {
+		delete(m.watched[g.watch], g)
+		delete(m.guards, key)
+	}
+	m.site.Cabinet().Delete(ArmFolderPrefix + key)
+	m.mu.Unlock()
+}
+
+// watcher probes target once per Interval on behalf of every guard
+// watching it, and exits when none is left. A guard's agent has vanished
+// when the probe fails Misses times in a row, or answers under a new
+// incarnation (the site crashed and rebooted between probes, taking its
+// agents with it): the guard leaves the watcher and relaunches from its
+// checkpoint; hop marks in cabinets deduplicate if the original had in
+// fact survived. Relaunches ship detached, so one verdict does not
+// serialize the candidate probes of the guards it hits.
+func (m *Manager) watcher(target vnet.SiteID) {
+	ticker := time.NewTicker(m.Interval)
+	defer ticker.Stop()
+	for range ticker.C {
+		m.mu.Lock()
+		if len(m.watched[target]) == 0 {
+			delete(m.watched, target)
+			m.mu.Unlock()
+			return
+		}
+		m.mu.Unlock()
+		inc, err := m.site.PingIncarnation(context.Background(), target, 0)
+		var lost []*guard
+		m.mu.Lock()
+		if errors.Is(err, vnet.ErrCrashed) || errors.Is(err, vnet.ErrClosed) {
+			// Our own site went down or is shutting down: the watcher dies
+			// with it, leaving its guards armed, so their durable
+			// checkpoints survive for Recover to re-arm. (Treating this as
+			// misses would drive a graceful restart's endpoint Close through
+			// the all-dead relaunch path, durably deleting the very
+			// checkpoints the WAL exists to preserve.)
+			delete(m.watched, target)
+			m.mu.Unlock()
+			return
+		}
+		for g := range m.watched[target] {
+			restarted := err == nil && g.inc >= 0 && inc != g.inc
+			if err == nil {
+				g.inc, g.misses = inc, 0
+			} else {
+				g.misses++
+			}
+			if restarted || g.misses >= m.Misses {
+				delete(m.watched[target], g)
+				lost = append(lost, g)
+			}
+		}
+		m.mu.Unlock()
+		for _, g := range lost {
+			m.site.ShipDetached(context.Background(), func(ctx context.Context) { m.relaunch(ctx, g) })
+		}
+	}
+}
+
+// relaunch re-injects a lost guard's checkpointed agent at the first live
+// site of the remaining itinerary, and moves the guard to watch it there.
+func (m *Manager) relaunch(ctx context.Context, g *guard) {
 	bc := g.bc.Clone()
 	if n, err := bc.GetString(RelaunchFolder); err == nil {
 		if v, err := strconv.Atoi(n); err == nil {
@@ -557,10 +560,10 @@ func (m *Manager) relaunch(g *guard) {
 	if err != nil {
 		return
 	}
-	ctx := context.Background()
 	for next := g.hop; next < itin.Len(); next++ {
 		cand, _ := itin.StringAt(next)
-		if err := m.site.Ping(ctx, vnet.SiteID(cand), 0); err != nil {
+		inc, err := m.site.PingIncarnation(ctx, vnet.SiteID(cand), 0)
+		if err != nil {
 			if errors.Is(err, vnet.ErrClosed) || errors.Is(err, vnet.ErrCrashed) {
 				// Our own endpoint is closing (or crashed): every candidate
 				// would look dead from here. Abandon the relaunch with the
@@ -573,41 +576,34 @@ func (m *Manager) relaunch(g *guard) {
 			continue
 		}
 		bc.PutString(HopFolder, strconv.Itoa(next))
-		g.watch = vnet.SiteID(cand) // keep guarding the relaunched agent
 		m.mu.Lock()
-		if m.guards[guardKey(g.id, g.hop)] == g {
-			// The durable checkpoint tracks the new watch — but only while
-			// this guard is still the armed one: a release that landed
-			// since the watcher woke has already deleted the checkpoint,
-			// and re-persisting would resurrect it forever.
+		armed := m.guards[guardKey(g.id, g.hop)] == g
+		if armed {
+			// Keep guarding the relaunched agent, with the probe that chose
+			// cand as the baseline. A release that landed since the verdict
+			// means the agent moved on: the checkpoint is already deleted,
+			// re-persisting would resurrect it forever, and a relaunch
+			// would only duplicate the journey.
+			g.watch, g.inc, g.misses = vnet.SiteID(cand), inc, 0
+			m.watchLocked(g)
 			m.persistGuard(g)
 		}
 		m.mu.Unlock()
-		m.syncCheckpoint("relaunch")
-		site := m.site
-		launch := bc.Clone()
-		site.Go(func() {
-			_ = site.RemoteMeet(ctx, vnet.SiteID(cand), AgHop, launch)
-		})
+		if armed {
+			m.syncCheckpoint("relaunch")
+			_ = m.site.RemoteMeet(ctx, vnet.SiteID(cand), AgHop, bc)
+		}
 		return
 	}
 	// Everything ahead is dead; deliver the checkpoint home, flagged.
 	origin, _ := bc.GetString(OriginFolder)
 	bc.Ensure(folder.ErrorFolder).PushString(ErrAllDead.Error())
-	site := m.site
-	final := bc.Clone()
-	site.Go(func() {
-		_ = site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, final)
-	})
-	g.release()
-	m.mu.Lock()
-	delete(m.guards, guardKey(g.id, g.hop))
-	m.unpersistGuard(g.id, g.hop)
-	m.mu.Unlock()
-	// This runs in the watcher goroutine, not a meet, so no depth-0 meet
-	// barrier will sync the delete for us; without one a quiet site could
-	// hold it in the WAL tail indefinitely, and a crash would resurrect
-	// the guard — redelivering this flagged result after every reboot.
+	_ = m.site.RemoteMeet(ctx, vnet.SiteID(origin), AgHome, bc)
+	m.release(g.id, g.hop)
+	// This runs detached, not in a meet, so no depth-0 meet barrier will
+	// sync the delete for us; without one a quiet site could hold it in the
+	// WAL tail indefinitely, and a crash would resurrect the guard —
+	// redelivering this flagged result after every reboot.
 	m.syncCheckpoint("release")
 }
 

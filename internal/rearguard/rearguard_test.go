@@ -3,7 +3,9 @@ package rearguard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -414,41 +416,47 @@ func TestPartitionFalsePositiveIsHarmless(t *testing.T) {
 func TestGuardIncarnationDetectsFastReboot(t *testing.T) {
 	// The victim crashes AND restarts between two guard probes: no probe
 	// ever fails, but the incarnation changed — the guard must still
-	// relaunch the lost agent.
-	sys, managers := testRig(t, 4)
-	for i := range managers {
-		managers[i].Interval = 50 * time.Millisecond // slow detector
+	// relaunch the lost agent. On the first hop the watching guard is the
+	// origin's, whose baseline Launch takes before the agent ships.
+	for _, victim := range []int{2, 1} {
+		t.Run(fmt.Sprintf("site-%d", victim), func(t *testing.T) {
+			sys, managers := testRig(t, 4)
+			for i := range managers {
+				managers[i].Interval = 50 * time.Millisecond // slow detector
+			}
+			site := sys.SiteAt(victim)
+			blocker := make(chan struct{})
+			site.Register("trail", core.AgentFunc(func(mc *core.MeetContext, bc *folder.Briefcase) error {
+				if !mc.Site.Cabinet().ContainsString("REBOOTED", "once") {
+					<-blocker
+				}
+				bc.Ensure("TRAIL").PushString(string(mc.Site.ID()))
+				return nil
+			}))
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				site.Cabinet().AppendString("REBOOTED", "once")
+				sys.Net.Crash(site.ID())
+				close(blocker)
+				time.Sleep(15 * time.Millisecond) // reboot well inside one probe gap
+				sys.Net.Restart(site.ID())
+			}()
+			ch, err := managers[0].Launch(context.Background(), Config{
+				ID: "fastboot", Task: "trail", Itinerary: itinerary(1, 2, 3), Guards: true,
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := Wait(ch, 5*time.Second)
+			if !res.Completed {
+				t.Fatal("fast reboot went undetected; computation lost")
+			}
+			if res.Relaunches == 0 {
+				t.Fatalf("no relaunch recorded: %+v", res)
+			}
+			sys.Wait()
+		})
 	}
-	blocker := make(chan struct{})
-	sys.SiteAt(2).Register("trail", core.AgentFunc(func(mc *core.MeetContext, bc *folder.Briefcase) error {
-		if !mc.Site.Cabinet().ContainsString("REBOOTED", "once") {
-			<-blocker
-		}
-		bc.Ensure("TRAIL").PushString(string(mc.Site.ID()))
-		return nil
-	}))
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		sys.SiteAt(2).Cabinet().AppendString("REBOOTED", "once")
-		sys.Net.Crash("site-2")
-		close(blocker)
-		time.Sleep(15 * time.Millisecond) // reboot well inside one probe gap
-		sys.Net.Restart("site-2")
-	}()
-	ch, err := managers[0].Launch(context.Background(), Config{
-		ID: "fastboot", Task: "trail", Itinerary: itinerary(1, 2, 3), Guards: true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Wait(ch, 5*time.Second)
-	if !res.Completed {
-		t.Fatal("fast reboot went undetected; computation lost")
-	}
-	if res.Relaunches == 0 {
-		t.Fatalf("no relaunch recorded: %+v", res)
-	}
-	sys.Wait()
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -507,10 +515,10 @@ func TestGuardCheckpointPersistedAndRecovered(t *testing.T) {
 	// Simulate site-1 crashing and rebooting with a recovered cabinet: the
 	// in-memory guard state is wiped, the cabinet survives.
 	m1.mu.Lock()
-	for _, g := range m1.guards {
-		g.release()
+	for key, g := range m1.guards {
+		delete(m1.watched[g.watch], g)
+		delete(m1.guards, key)
 	}
-	m1.guards = make(map[string]*guard)
 	m1.mu.Unlock()
 	if m1.ActiveGuards() != 0 {
 		t.Fatal("in-memory guards not cleared")
@@ -586,11 +594,7 @@ func TestCheckpointFormats(t *testing.T) {
 	if m.ActiveGuards() != 1 {
 		t.Fatalf("ActiveGuards = %d", m.ActiveGuards())
 	}
-	m.mu.Lock()
-	for _, g := range m.guards {
-		g.release()
-	}
-	m.mu.Unlock()
+	m.release("legacy-1", 1)
 }
 
 // TestReleasedGuardRemovesCheckpoint: a clean journey leaves no checkpoint
@@ -616,6 +620,121 @@ func TestReleasedGuardRemovesCheckpoint(t *testing.T) {
 			}
 			return true
 		})
+	}
+	sys.Wait()
+}
+
+// TestThousandGuardsShareOneWatcher pins what a guard costs at rest: guards
+// watching one site share one watcher goroutine and one probe per
+// Interval, however many they are, and releasing the last stops it.
+func TestThousandGuardsShareOneWatcher(t *testing.T) {
+	sys, managers := testRig(t, 2)
+	m, site := managers[0], sys.SiteAt(0)
+	m.Interval = 50 * time.Millisecond
+	const n, intervals = 1000, 10
+
+	pings := func() int64 { return sys.Net.KindBytes("ping") }
+	before := pings()
+	inc, err := site.PingIncarnation(context.Background(), "site-1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onePing := pings() - before
+
+	start := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		m.arm(&guard{id: fmt.Sprintf("scale-%d", i), watch: "site-1", bc: folder.NewBriefcase(), inc: inc}, true)
+	}
+	delta := runtime.NumGoroutine() - start
+	before = pings()
+	time.Sleep(intervals * m.Interval)
+	perInterval := float64(pings()-before) / float64(onePing) / intervals
+	t.Logf("%d guards: goroutine delta %d, %.1f pings per Interval", n, delta, perInterval)
+	if delta > 1 {
+		t.Fatalf("%d guards added %d goroutines, want at most 1", n, delta)
+	}
+	if perInterval > 2 {
+		t.Fatalf("%d guards cost %.1f pings per Interval, want at most 2", n, perInterval)
+	}
+	if got := m.ActiveGuards(); got != n {
+		t.Fatalf("ActiveGuards = %d with the watched site alive, want %d", got, n)
+	}
+
+	for i := 0; i < n; i++ {
+		m.release(fmt.Sprintf("scale-%d", i), 0)
+	}
+	deadline := time.Now().Add(2 * m.Interval)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d two Intervals after the last release, want %d", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sys.Wait()
+}
+
+// TestCrashedTargetRelaunchesOnlyItsGuards runs computations guarded
+// toward two sites and crashes one: its watcher's verdict relaunches
+// exactly the computations guarded toward it, the other watcher keeps its
+// guards, and every computation completes once.
+func TestCrashedTargetRelaunchesOnlyItsGuards(t *testing.T) {
+	sys, managers := testRig(t, 5)
+	const per = 4
+	var reached sync.WaitGroup
+	reached.Add(2 * per)
+	hold := map[int]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	for first, block := range hold {
+		sys.SiteAt(first).Register("trail", core.AgentFunc(func(mc *core.MeetContext, bc *folder.Briefcase) error {
+			bc.Ensure("TRAIL").PushString(string(mc.Site.ID()))
+			reached.Done()
+			<-block
+			return nil
+		}))
+	}
+	chans := map[string]<-chan Result{}
+	itins := map[string][]vnet.SiteID{}
+	for _, first := range []int{1, 2} {
+		for i := 0; i < per; i++ {
+			id := fmt.Sprintf("fan-%d-%d", first, i)
+			itins[id] = itinerary(first, first+2)
+			ch, err := managers[0].Launch(context.Background(), Config{
+				ID: id, Task: "trail", Itinerary: itins[id], Guards: true,
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans[id] = ch
+		}
+	}
+	reached.Wait()
+	sys.Net.Crash("site-1")
+	for i := 0; i < per; i++ {
+		res := Wait(chans[fmt.Sprintf("fan-1-%d", i)], 5*time.Second)
+		if !res.Completed || res.Relaunches == 0 {
+			t.Fatalf("computation guarded toward the crashed site: %+v", res)
+		}
+	}
+	m0 := managers[0]
+	m0.mu.Lock()
+	kept := len(m0.watched["site-2"])
+	m0.mu.Unlock()
+	if kept != per {
+		t.Fatalf("site-2's watcher holds %d guards, want %d", kept, per)
+	}
+	close(hold[1])
+	close(hold[2])
+	for i := 0; i < per; i++ {
+		res := Wait(chans[fmt.Sprintf("fan-2-%d", i)], 5*time.Second)
+		if !res.Completed || res.Relaunches != 0 {
+			t.Fatalf("computation guarded toward the live site: %+v", res)
+		}
+	}
+	for id, itin := range itins {
+		for _, s := range itin {
+			if marks := sys.Site(s).Cabinet().FolderLen("RG:" + id); marks != 1 {
+				t.Fatalf("%s has %d hop marks at %s, want 1", id, marks, s)
+			}
+		}
 	}
 	sys.Wait()
 }
