@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/folder"
+	"repro/internal/guard"
 	"repro/internal/vnet"
 )
 
@@ -357,13 +358,13 @@ func BenchmarkGuardedMeet(b *testing.B) {
 	b.Run("unguarded", func(b *testing.B) {
 		sys := core.NewSystem(1, core.SystemConfig{Seed: 4})
 		sys.SiteAt(0).Register("noop", noop)
-		run(b, sys.SiteAt(0), NewBriefcase())
+		run(b, sys.SiteAt(0), folder.NewBriefcase())
 	})
 	b.Run("guarded-unsigned", func(b *testing.B) {
 		sys := core.NewSystem(1, core.SystemConfig{Seed: 4})
 		sys.SiteAt(0).Register("noop", noop)
 		InstallGuard(sys.SiteAt(0), NewGuard(nil, NewKeyring()))
-		run(b, sys.SiteAt(0), NewBriefcase())
+		run(b, sys.SiteAt(0), folder.NewBriefcase())
 	})
 	b.Run("guarded-signed-acl", func(b *testing.B) {
 		sys := core.NewSystem(1, core.SystemConfig{Seed: 4})
@@ -373,9 +374,9 @@ func BenchmarkGuardedMeet(b *testing.B) {
 		policy := NewPolicy()
 		policy.Grant("alice", Capability{Meet: []string{"noop"}})
 		InstallGuard(sys.SiteAt(0), NewGuard(policy, keys))
-		bc := NewBriefcase()
+		bc := folder.NewBriefcase()
 		bc.PutString("DATA", "payload")
-		if err := SignBriefcase(keys, "alice", bc, "DATA"); err != nil {
+		if err := guard.Sign(keys, "alice", bc, "DATA"); err != nil {
 			b.Fatal(err)
 		}
 		run(b, sys.SiteAt(0), bc)
@@ -421,20 +422,20 @@ func BenchmarkFacadeRoamSimVsTCP(b *testing.B) {
 		}
 	})
 	b.Run("tcp", func(b *testing.B) {
-		epA, err := NewTCPEndpoint("site-a", "127.0.0.1:0")
+		epA, err := vnet.NewTCPEndpoint("site-a", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer epA.Close()
-		epB, err := NewTCPEndpoint("site-b", "127.0.0.1:0")
+		epB, err := vnet.NewTCPEndpoint("site-b", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer epB.Close()
 		epA.AddPeer("site-b", epB.Addr())
 		epB.AddPeer("site-a", epA.Addr())
-		siteA := NewSite(epA, SiteConfig{})
-		NewSite(epB, SiteConfig{})
+		siteA := core.NewSite(epA, core.SiteConfig{})
+		core.NewSite(epB, core.SiteConfig{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -445,6 +446,5 @@ func BenchmarkFacadeRoamSimVsTCP(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		_ = vnet.SiteID("")
 	})
 }

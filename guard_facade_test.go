@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cash"
+	"repro/internal/guard"
 )
 
 // The facade drives the whole security story: keyring, policy, firewall,
@@ -63,7 +64,7 @@ func TestFacadeGuardEndToEnd(t *testing.T) {
 	}
 	// The principal claim still travels with the returned briefcase (the
 	// signature itself is checked at boundaries, before ag_tacl pops CODE).
-	if p := Principal(bc); p != "alice" {
+	if p := guard.Principal(bc); p != "alice" {
 		t.Fatalf("principal after roam = %q", p)
 	}
 	if g.Meter.Earned() == 0 {

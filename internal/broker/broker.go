@@ -3,14 +3,16 @@
 // providers of services while respecting constraints imposed by autonomous
 // site administrators.
 //
-// It follows the paper's four-agent structure:
+// It follows the paper's agent structure:
 //
 //   - the broker agent keeps a database of service providers and acts as a
 //     matchmaker, distributing requests by load and capacity;
 //   - a monitor agent at each provider site reports the site's status to
 //     the brokers;
-//   - the courier agent (from package core) carries those reports;
-//   - a ticket agent issues tickets that gate access to a service.
+//   - the courier agent (from package core) carries those reports.
+//
+// The paper's fourth agent, which issues tickets for access to a service,
+// is left out: no caller needed it and no experiment claim rests on it.
 //
 // Brokers also protect agents whose names must stay secret: the broker
 // queues meeting requests — an agent plus its briefcase, stored inside an
@@ -37,8 +39,6 @@ const (
 	AgBroker = "broker"
 	// AgMonitor is the per-site status reporter.
 	AgMonitor = "monitor"
-	// AgTicket issues service tickets.
-	AgTicket = "ticket"
 
 	// OpFolder selects the broker operation: register, lookup, report,
 	// place, gossip, protect, request, drain.

@@ -341,122 +341,6 @@ func TestMonitorReportTo(t *testing.T) {
 	}
 }
 
-func TestMonitorPump(t *testing.T) {
-	sys := testSystem(t, 2)
-	b := Install(sys.SiteAt(0))
-	b.Register("svc", "site-1", "a", 1)
-	m := NewMonitor(sys.SiteAt(1))
-	ctx, cancel := context.WithCancel(context.Background())
-	m.Pump(ctx, "site-0", 5*time.Millisecond)
-	deadline := time.After(2 * time.Second)
-	for {
-		rows := b.Table()
-		if len(rows) == 1 && !strings.HasSuffix(rows[0], "|0") {
-			break // at least one report landed (seq > 0)
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("no report arrived: %v", rows)
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	cancel()
-	sys.Wait()
-}
-
-func TestTicketIssuePunch(t *testing.T) {
-	o := NewTicketOffice()
-	tk, err := o.Issue("svc", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Remaining(tk) != 2 {
-		t.Fatalf("remaining = %d", o.Remaining(tk))
-	}
-	if err := o.Punch(tk); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Punch(tk); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Punch(tk); !errors.Is(err, ErrTicketSpent) {
-		t.Fatalf("third punch = %v", err)
-	}
-}
-
-func TestTicketForgery(t *testing.T) {
-	o := NewTicketOffice()
-	tk, _ := o.Issue("svc", 1)
-	forged := tk
-	forged.Uses = 1000 // inflate allowance
-	forged2, _ := DecodeTicket(forged.Encode())
-	if err := o.Punch(forged2); !errors.Is(err, ErrBadTicket) {
-		t.Fatalf("forged ticket punched: %v", err)
-	}
-	// A ticket from a different office is rejected too.
-	other := NewTicketOffice()
-	alien, _ := other.Issue("svc", 1)
-	if err := o.Punch(alien); !errors.Is(err, ErrBadTicket) {
-		t.Fatalf("alien ticket punched: %v", err)
-	}
-}
-
-func TestTicketEncodeDecode(t *testing.T) {
-	o := NewTicketOffice()
-	tk, _ := o.Issue("weather", 5)
-	back, err := DecodeTicket(tk.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != tk {
-		t.Fatalf("round trip: %+v vs %+v", back, tk)
-	}
-	if _, err := DecodeTicket("junk"); !errors.Is(err, ErrBadTicket) {
-		t.Fatalf("junk decoded: %v", err)
-	}
-	if _, err := DecodeTicket("a|b|notanumber|sig"); !errors.Is(err, ErrBadTicket) {
-		t.Fatalf("bad uses decoded: %v", err)
-	}
-}
-
-func TestTicketAgent(t *testing.T) {
-	sys := testSystem(t, 1)
-	site := sys.SiteAt(0)
-	InstallTicketAgent(site)
-
-	bc := folder.NewBriefcase()
-	bc.PutString(OpFolder, "issue")
-	bc.PutString(ServiceFolder, "svc")
-	bc.PutString(UsesFolder, "1")
-	if err := site.MeetClient(context.Background(), AgTicket, bc); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := bc.GetString(TicketFolder)
-	if raw == "" {
-		t.Fatal("no ticket issued")
-	}
-
-	punch := func() error {
-		p := folder.NewBriefcase()
-		p.PutString(OpFolder, "punch")
-		p.PutString(TicketFolder, raw)
-		return site.MeetClient(context.Background(), AgTicket, p)
-	}
-	if err := punch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := punch(); err == nil {
-		t.Fatal("overused ticket accepted")
-	}
-}
-
-func TestTicketIssueInvalidUses(t *testing.T) {
-	o := NewTicketOffice()
-	if _, err := o.Issue("svc", 0); !errors.Is(err, ErrBadTicket) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestEndToEndScheduling(t *testing.T) {
 	// Full loop: providers register, monitors report, a client asks the
 	// broker for placement and runs a job on the chosen provider.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/folder"
@@ -13,8 +12,8 @@ import (
 )
 
 // Monitor is the per-site status agent: it observes its site's load and
-// reports it to brokers, either on demand (meet it) or periodically via a
-// background pump. Reports carry a monotonically increasing sequence
+// reports it to brokers, on demand (meet it) or by pushing a report
+// (ReportTo). Reports carry a monotonically increasing sequence
 // number so brokers keep only the freshest value regardless of delivery
 // order.
 type Monitor struct {
@@ -55,21 +54,4 @@ func (m *Monitor) ReportTo(ctx context.Context, brokerSite vnet.SiteID) error {
 		return fmt.Errorf("monitor %s: %w", m.site.ID(), err)
 	}
 	return nil
-}
-
-// Pump reports to the broker every period until ctx is cancelled. Failures
-// are tolerated: a monitor must outlive transient broker unreachability.
-func (m *Monitor) Pump(ctx context.Context, brokerSite vnet.SiteID, period time.Duration) {
-	m.site.Go(func() {
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				_ = m.ReportTo(ctx, brokerSite)
-			}
-		}
-	})
 }

@@ -221,71 +221,3 @@ func TestUntraceability(t *testing.T) {
 		t.Fatalf("honest purchase recorded %d frauds", got)
 	}
 }
-
-func TestCycleBillingChargesAndAborts(t *testing.T) {
-	cb := NewCycleBilling(10)
-	sys := core.NewSystem(1, core.SystemConfig{
-		Site: core.SiteConfig{StepHookFactory: cb.Factory},
-	})
-	mint := NewMint()
-	w := NewWallet()
-	bills, _ := mint.IssueMany(1, 1, 1, 1, 1)
-	w.Add(bills...)
-	cb.Fund("", w) // external client injects the agent; From is ""
-
-	// 5 units at 10 steps/unit: the agent dies between 50 and 60 steps.
-	_, err := core.RunScript(context.Background(), sys.SiteAt(0), `
-		set i 0
-		while {1} { incr i }
-	`, nil)
-	if err == nil || !strings.Contains(err.Error(), "out of funds") {
-		t.Fatalf("err = %v", err)
-	}
-	if w.Balance() != 0 {
-		t.Fatalf("wallet balance = %d, want 0", w.Balance())
-	}
-	if cb.Earned() != 5 {
-		t.Fatalf("treasury earned %d, want 5", cb.Earned())
-	}
-}
-
-func TestCycleBillingUnmeteredAgentsRunFree(t *testing.T) {
-	cb := NewCycleBilling(10)
-	sys := core.NewSystem(1, core.SystemConfig{
-		Site: core.SiteConfig{StepHookFactory: cb.Factory, MaxSteps: 500},
-	})
-	_, err := core.RunScript(context.Background(), sys.SiteAt(0), `
-		set i 0
-		while {$i < 40} { incr i }
-		bc_push RESULT ok
-	`, nil)
-	if err != nil {
-		t.Fatalf("unmetered agent aborted: %v", err)
-	}
-}
-
-func TestCycleBillingSufficientFundsCompletes(t *testing.T) {
-	cb := NewCycleBilling(10)
-	sys := core.NewSystem(1, core.SystemConfig{
-		Site: core.SiteConfig{StepHookFactory: cb.Factory},
-	})
-	mint := NewMint()
-	w := NewWallet()
-	bills, _ := mint.IssueMany(1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-	w.Add(bills...)
-	cb.Fund("", w)
-	bc, err := core.RunScript(context.Background(), sys.SiteAt(0), `
-		set i 0
-		while {$i < 20} { incr i }
-		bc_push RESULT done
-	`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, _ := bc.GetString(folder.ResultFolder); res != "done" {
-		t.Fatalf("RESULT = %q", res)
-	}
-	if w.Balance() >= 10 {
-		t.Fatalf("no cycles charged: balance=%d", w.Balance())
-	}
-}

@@ -1,8 +1,9 @@
 // Package cash implements TACOMA's electronic cash (section 3 of the
 // paper): electronic currency units (ECUs), the trusted validation agent
 // that defeats double spending by retiring and reissuing bills, wallets for
-// agents, cycle billing to contain runaway agents, and the audit protocol
-// that replaces transactions for fair exchange of funds and services.
+// agents, and the audit protocol that replaces transactions for fair
+// exchange of funds and services. Charging runaway agents for cycles is
+// guard.Meter's job.
 //
 // Following Chaum, each ECU is a record containing an amount and a large
 // random number (the serial). Only serials minted by the mint are valid.

@@ -95,12 +95,6 @@ type SiteConfig struct {
 	// error refuses the visiting agent. Sites are autonomous: their
 	// administrators control the resources they offer.
 	Admission func(agent, from string) error
-	// StepHookFactory, if non-nil, builds a per-activation hook invoked on
-	// every TacL step of a visiting agent. Returning an error from the
-	// hook aborts the agent. The cash package uses this to charge
-	// electronic cash for cycles, the paper's mechanism for limiting the
-	// damage a runaway agent can do.
-	StepHookFactory func(agent, from string) func() error
 	// Seed seeds the site-local deterministic RNG exposed to agents.
 	Seed int64
 	// Cabinet, if non-nil, is adopted as the site's file cabinet instead

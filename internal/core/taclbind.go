@@ -58,24 +58,10 @@ func runTacL(mc *MeetContext, bc *folder.Briefcase, src string) error {
 	// step-budget slices keeps one long script from monopolizing a worker.
 	in.YieldEvery = taclYieldEvery
 	in.Yield = runtime.Gosched
-	if f := site.cfg.StepHookFactory; f != nil {
-		in.StepHook = f(mc.Agent, mc.From)
-	}
 	g := site.Guard()
 	if g != nil {
-		// The guard's metering hook chains after any configured factory
-		// hook, so cycle billing and guard metering compose.
 		if h := g.StepHook(mc, bc); h != nil {
-			if prev := in.StepHook; prev != nil {
-				in.StepHook = func() error {
-					if err := prev(); err != nil {
-						return err
-					}
-					return h()
-				}
-			} else {
-				in.StepHook = h
-			}
+			in.StepHook = h
 		}
 		// Guard-aware builtins (acl_check, sign_bc, principal, ecu_balance)
 		// exist only at guarded sites.

@@ -41,12 +41,13 @@ type E8Row struct {
 // failure the rear guard exists for) and restarts 40ms later.
 func E8Survival(ctx context.Context, trials, hops int, crashProb float64, guards bool, seed int64) (E8Row, error) {
 	row := E8Row{Guards: guards, Trials: trials, CrashProb: crashProb, HopLength: hops}
+	const callTimeout, restartDelay = 15 * time.Millisecond, 40 * time.Millisecond
 	rng := rand.New(rand.NewSource(seed))
 	var totalTime time.Duration
 
 	for trial := 0; trial < trials; trial++ {
 		sys := core.NewSystem(hops+1, core.SystemConfig{
-			Seed: seed + int64(trial), CallTimeout: 15 * time.Millisecond,
+			Seed: seed + int64(trial), CallTimeout: callTimeout,
 		})
 		managers := make([]*rearguard.Manager, sys.Len())
 
@@ -88,7 +89,7 @@ func E8Survival(ctx context.Context, trials, hops int, crashProb float64, guards
 				vic.Cabinet().AppendString("E8CRASHED", "once")
 				net.Crash(victim)
 				close(crashed)
-				time.Sleep(40 * time.Millisecond)
+				time.Sleep(restartDelay)
 				net.Restart(victim)
 			}()
 		}
@@ -100,7 +101,21 @@ func E8Survival(ctx context.Context, trials, hops int, crashProb float64, guards
 		if err != nil {
 			return row, err
 		}
-		res := rearguard.Wait(ch, 2*time.Second)
+		// An unguarded agent dies with its site, and nothing relaunches
+		// it: once the crash has landed, the victim is back after
+		// restartDelay and any call the dead hop left open has timed out
+		// one callTimeout later, so waiting the full bound only idles.
+		var res rearguard.Result
+		if crash && !guards {
+			select {
+			case res = <-ch:
+			case <-crashed:
+				res = rearguard.Wait(ch, restartDelay+callTimeout)
+			case <-time.After(2 * time.Second):
+			}
+		} else {
+			res = rearguard.Wait(ch, 2*time.Second)
+		}
 		if res.Completed {
 			row.Completed++
 			row.Relaunches += res.Relaunches

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/folder"
 )
 
 // skipIfShort guards the timing-based experiments (the E8 survival runs
@@ -106,6 +111,133 @@ func TestE2UnknownInputs(t *testing.T) {
 	}
 	if _, err := E2Flood(ctx, "marking", "grid", 7, 0); err == nil {
 		t.Fatal("non-square grid accepted")
+	}
+}
+
+// E3: folders are cheap to move and cabinets are fast to access. The
+// checks are the ones BenchmarkE3FolderMoveVsCabinetAccess times.
+func TestE3FolderMoveAndCabinetAccess(t *testing.T) {
+	for _, size := range []int{64, 1024, 65536} {
+		var elems [][]byte
+		for i := 0; i < 4; i++ {
+			elems = append(elems, bytes.Repeat([]byte{byte('a' + i)}, size))
+		}
+		f := folder.Of(elems...)
+		back, err := folder.DecodeFolder(folder.EncodeFolder(f))
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if !back.Equal(f) {
+			t.Fatalf("size %d: folder changed in a round trip", size)
+		}
+	}
+
+	cab := folder.NewCabinet()
+	for i := 0; i < 10000; i++ {
+		cab.AppendString("BIG", fmt.Sprintf("element-%d", i))
+	}
+	if !cab.ContainsString("BIG", "element-9999") {
+		t.Fatal("cabinet lookup missed the last of 10k elements")
+	}
+	if !cab.TestAndAppendString("V", "s0") {
+		t.Fatal("first TestAndAppend refused")
+	}
+	if cab.TestAndAppendString("V", "s0") {
+		t.Fatal("TestAndAppend accepted a duplicate")
+	}
+	if n := cab.FolderLen("V"); n != 1 {
+		t.Fatalf("V holds %d elements, want 1", n)
+	}
+}
+
+// E4: meet suffices as the sole IPC primitive. Every interaction that
+// BenchmarkE4MeetRexecCourier times is one meet by the client, and each
+// one succeeds.
+func TestE4EveryInteractionIsOneMeet(t *testing.T) {
+	ctx := context.Background()
+	where := core.AgentFunc(func(mc *core.MeetContext, bc *folder.Briefcase) error {
+		bc.Ensure("AT").PushString(string(mc.Site.ID()))
+		return nil
+	})
+	at := func(bc *folder.Briefcase) []string {
+		f, err := bc.Folder("AT")
+		if err != nil {
+			return nil
+		}
+		return f.Strings()
+	}
+	sys := core.NewSystem(3, core.SystemConfig{Seed: 4})
+	defer sys.Wait()
+	sys.Register("where", func(*core.Site) core.Agent { return where })
+	a := sys.SiteAt(0)
+
+	bc := folder.NewBriefcase()
+	if err := a.MeetClient(ctx, "where", bc); err != nil {
+		t.Fatalf("local meet: %v", err)
+	}
+	if got := at(bc); len(got) != 1 || got[0] != "site-0" {
+		t.Fatalf("local meet ran at %v", got)
+	}
+
+	bc = folder.NewBriefcase()
+	if err := a.RemoteMeet(ctx, "site-1", "where", bc); err != nil {
+		t.Fatalf("remote meet: %v", err)
+	}
+	if got := at(bc); len(got) != 1 || got[0] != "site-1" {
+		t.Fatalf("remote meet ran at %v", got)
+	}
+
+	bc = folder.NewBriefcase()
+	bc.PutString(folder.HostFolder, "site-1")
+	bc.PutString(folder.ContactFolder, "where")
+	if err := a.MeetClient(ctx, core.AgRexec, bc); err != nil {
+		t.Fatalf("ag_rexec hop: %v", err)
+	}
+	if got := at(bc); len(got) != 1 || got[0] != "site-1" {
+		t.Fatalf("ag_rexec hop ran its contact at %v", got)
+	}
+
+	bc, err := core.RunScript(ctx, a, `bc_push RESULT [expr {1 + 1}]`, nil)
+	if err != nil {
+		t.Fatalf("TacL activation: %v", err)
+	}
+	if got, _ := bc.GetString(folder.ResultFolder); got != "2" {
+		t.Fatalf("TacL activation RESULT = %q", got)
+	}
+
+	bc, err = core.RunScript(ctx, a, `
+		if {[host] eq "site-0"} { jump site-1 }
+		bc_push RESULT [host]
+	`, nil)
+	if err != nil {
+		t.Fatalf("jump: %v", err)
+	}
+	if got, _ := bc.GetString(folder.ResultFolder); got != "site-1" {
+		t.Fatalf("jump ended at %q", got)
+	}
+
+	ring := core.NewSystem(8, core.SystemConfig{Seed: 4})
+	defer ring.Wait()
+	ring.Ring()
+	ring.Register("mark", func(*core.Site) core.Agent {
+		return core.AgentFunc(func(mc *core.MeetContext, _ *folder.Briefcase) error {
+			mc.Site.Cabinet().AppendString("VISITS", "diffusion")
+			return nil
+		})
+	})
+	bc = folder.NewBriefcase()
+	bc.PutString(folder.ContactFolder, "mark")
+	if err := ring.SiteAt(0).MeetClient(ctx, core.AgDiffusion, bc); err != nil {
+		t.Fatalf("ag_diffusion: %v", err)
+	}
+	ring.Wait()
+	if f, err := bc.Folder(folder.ErrorFolder); err == nil && f.Len() > 0 {
+		t.Fatalf("ag_diffusion recorded errors: %v", f.Strings())
+	}
+	for i := 0; i < ring.Len(); i++ {
+		if n := ring.SiteAt(i).Cabinet().FolderLen("VISITS"); n != 1 {
+			t.Fatalf("ag_diffusion visited %s %d times, want 1", ring.SiteAt(i).ID(), n)
+		}
 	}
 }
 

@@ -211,30 +211,6 @@ func (m *Mesh) aliveLocked() []vnet.SiteID {
 	return out
 }
 
-// Place returns the least-loaded alive site — where a new launch should go.
-// Ties break on resident-agent count, then name, so every member that has
-// converged on the same load reports directs launches the same way.
-func (m *Mesh) Place() (vnet.SiteID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var best *member
-	for _, mem := range m.members {
-		if mem.State != StateAlive && mem.State != StateSuspect {
-			continue
-		}
-		if best == nil ||
-			mem.Load < best.Load ||
-			(mem.Load == best.Load && mem.Agents < best.Agents) ||
-			(mem.Load == best.Load && mem.Agents == best.Agents && mem.Site < best.Site) {
-			best = mem
-		}
-	}
-	if best == nil {
-		return "", false
-	}
-	return best.Site, true
-}
-
 // OnChange installs a callback invoked (under the mesh lock — keep it
 // cheap) whenever the alive set changes, with the new alive membership.
 func (m *Mesh) OnChange(fn func(alive []vnet.SiteID)) {

@@ -403,26 +403,6 @@ func TestMeshFeedLoads(t *testing.T) {
 	}
 }
 
-func TestMeshPlacePicksLeastLoaded(t *testing.T) {
-	sys := core.NewSystem(1, core.SystemConfig{})
-	m := New(sys.SiteAt(0), Config{})
-	m.mergeEntries([]Entry{
-		{Site: "busy", State: StateAlive, LoadSeq: 5, Load: 90, Agents: 10},
-		{Site: "idle", State: StateAlive, LoadSeq: 5, Load: 1, Agents: 10},
-		{Site: "dead", State: StateDead, Inc: 1, LoadSeq: 5, Load: 0, Agents: 0},
-	})
-	// Self has load 0 but also 0 agents; "idle" has load 1. Self wins on
-	// load; kill self's claim by merging a high self... self can't be merged.
-	// Instead assert the dead site is never chosen and ordering is by load.
-	got, ok := m.Place()
-	if !ok {
-		t.Fatal("no placement")
-	}
-	if got == "dead" || got == "busy" {
-		t.Fatalf("Place() = %q", got)
-	}
-}
-
 // The stale-report pin at the mesh layer: a load report with an older
 // LoadSeq must never overwrite a fresher one, whatever gossip path it rode.
 func TestMeshStaleLoadReportIgnored(t *testing.T) {

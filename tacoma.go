@@ -21,58 +21,35 @@
 // Agents written in TacL (a small Tcl-like language, as in the paper's
 // Tcl-based prototype) carry their source in the briefcase CODE folder and
 // migrate by meeting the rexec agent; the jump command is sugar for that.
-// Native Go services implement the Agent interface and are registered at
-// sites with Site.Register.
+// Native Go services implement the Agent interface (AgentFunc adapts a
+// function) and are registered at sites with Site.Register; a client meets
+// one with Site.Meet.
 //
-// A client meets an agent through the unified entry point
+// # Security and accountability
 //
-//	err := site.Meet(ctx, "ag_mailbox", bc)                       // local, synchronous
-//	err = site.Meet(ctx, "ag_mailbox", bc, tacoma.At("site-2"))   // at another site
-//	err = site.Meet(ctx, "worker", bc, tacoma.Async(&h))          // detached; h reports completion
+// NewGuard over a NewPolicy and a NewKeyring, attached with InstallGuard,
+// makes a site check signatures and capabilities on every meet; a guard's
+// Meter (NewMeter) charges visiting agents the electronic cash they carry
+// in CashFolder and files a record in the launching site's BillingFolder.
+// SignedScript and LaunchSigned start a signed roaming agent.
 //
-// and agents that want to wait without holding a goroutine park
-// themselves (TacL: the park command); a parked agent is pure cabinet
-// state until a meet, a mail deposit, or a Wake on its watched folder
-// re-schedules it.
-//
-// Subsystem entry points:
-//
-//   - electronic cash:  cash.NewBank, cash.Purchase, cash.NewCycleBilling
-//   - security:         InstallGuard, SignedScript, NewMeter
-//   - scheduling:       InstallBroker, broker.NewMonitor, broker.InstallTicketAgent
-//   - fault tolerance:  InstallRearGuard, RearGuard.Launch
-//   - fleet membership: NewMesh (gossip discovery + consistent-hash placement)
-//   - applications:     InstallMailbox, SendMail; stormcast.NewField
-//
-// Those packages live under internal/ in this module; the facade re-exports
-// the kernel types needed to use them together.
+// The other subsystems (electronic cash, brokers, rear guards, the fleet
+// mesh, mail, StormCast, durable cabinets) live under internal/ in this
+// module and are used directly by its commands and examples.
 package tacoma
 
 import (
 	"context"
-	"time"
 
-	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/folder"
 	"repro/internal/guard"
-	"repro/internal/mail"
-	"repro/internal/mesh"
-	"repro/internal/rearguard"
-	"repro/internal/sched"
-	"repro/internal/store"
-	"repro/internal/tacl"
-	"repro/internal/vnet"
 )
 
-// Core kernel types.
+// Kernel types.
 type (
 	// Site is one autonomous TACOMA node: a place where agents execute.
 	Site = core.Site
-	// SiteConfig tunes a site's autonomy policies.
-	SiteConfig = core.SiteConfig
-	// System is a set of sites on one simulated network.
-	System = core.System
 	// SystemConfig configures a simulated system.
 	SystemConfig = core.SystemConfig
 	// Agent is anything that can be met.
@@ -81,168 +58,26 @@ type (
 	AgentFunc = core.AgentFunc
 	// MeetContext carries the execution context of one meet.
 	MeetContext = core.MeetContext
-	// MeetOption tunes one Site.Meet call (At, Async, Deadline).
-	MeetOption = core.MeetOption
-	// WireStats is a snapshot of a site's delta-protocol accounting.
-	WireStats = core.WireStats
-)
-
-// Scheduler types. Every site runs a zero-goroutine agent scheduler:
-// activations are tasks on per-shard run queues, parked agents are pure
-// cabinet state, and the worker pool never exceeds GOMAXPROCS.
-type (
-	// Handle reports completion of a detached (Async) meet.
-	Handle = sched.Handle
-	// SchedStats is a snapshot of a site scheduler's counters.
-	SchedStats = sched.Stats
-)
-
-// Data abstractions.
-type (
-	// Folder is an ordered list of uninterpreted byte elements.
-	Folder = folder.Folder
 	// Briefcase is the collection of named folders that travels with an
 	// agent.
 	Briefcase = folder.Briefcase
-	// FileCabinet groups site-local folders.
-	FileCabinet = folder.FileCabinet
-)
-
-// Durable storage types (the write-ahead-log cabinet engine).
-type (
-	// WAL is the write-ahead log that makes a file cabinet crash-durable.
-	WAL = store.WAL
-	// WALOptions tunes a WAL (sync policy, compaction thresholds).
-	WALOptions = store.Options
-)
-
-// Network types.
-type (
-	// SiteID names a site on the network.
-	SiteID = vnet.SiteID
-	// Network is the simulated network sites run on.
-	Network = vnet.Network
-	// LinkParams model one directed link.
-	LinkParams = vnet.LinkParams
-	// Endpoint abstracts a site's network attachment (simulated or TCP).
-	Endpoint = vnet.Endpoint
-)
-
-// Security and accountability types (the guard subsystem).
-type (
-	// Guard bundles a site's security state: capability policy, signature
-	// keyring, and optional cycle meter.
-	Guard = guard.Guard
-	// Policy is one site's capability ACL and firewall switches.
-	Policy = guard.Policy
-	// Capability lists what a principal may do at a site.
+	// Capability lists what a principal may do at a guarded site.
 	Capability = guard.Capability
-	// Keyring maps principal names to briefcase-signing keys.
-	Keyring = guard.Keyring
-	// Meter charges visiting agents electronic cash for cycles.
-	Meter = guard.Meter
-	// BillingRecord documents one accountability event.
-	BillingRecord = guard.BillingRecord
-)
-
-// Fleet-membership types (the mesh subsystem: gossip discovery and
-// consistent-hash agent placement across many sites).
-type (
-	// Mesh is one site's membership view of the fleet.
-	Mesh = mesh.Mesh
-	// MeshConfig tunes gossip cadence, fanout, and failure detection.
-	MeshConfig = mesh.Config
-	// Ring is an immutable consistent-hash snapshot of the live sites.
-	Ring = mesh.Ring
-)
-
-// Brokerage types (resource scheduling via broker agents).
-type Broker = broker.Broker
-
-// Fault-tolerance types (the rear-guard subsystem).
-type (
-	// RearGuard manages rear-guard agents: checkpointed itinerant
-	// computations that relaunch from the last checkpoint on site failure.
-	RearGuard = rearguard.Manager
-	// RearGuardConfig describes one guarded itinerant launch.
-	RearGuardConfig = rearguard.Config
-	// RearGuardResult reports how a guarded computation ended.
-	RearGuardResult = rearguard.Result
-)
-
-// Message is one electronic-mail message (the paper's mail application).
-type Message = mail.Message
-
-// Interp is a TacL interpreter, exposed for embedding TacL outside agents.
-type Interp = tacl.Interp
-
-// System agent names.
-const (
-	AgTacl      = core.AgTacl
-	AgRexec     = core.AgRexec
-	AgCourier   = core.AgCourier
-	AgDiffusion = core.AgDiffusion
-	AgBilling   = guard.AgBilling
 )
 
 // Well-known folder names.
 const (
-	CodeFolder    = folder.CodeFolder
-	HostFolder    = folder.HostFolder
-	ContactFolder = folder.ContactFolder
-	SitesFolder   = folder.SitesFolder
 	ResultFolder  = folder.ResultFolder
-	ErrorFolder   = folder.ErrorFolder
-	SigFolder     = guard.SigFolder
-	HomeFolder    = guard.HomeFolder
 	BillingFolder = guard.BillingFolder
 	CashFolder    = guard.CashFolder
 )
 
 // NewSystem creates n sites named "site-0" .. "site-(n-1)" on a fresh
 // simulated network.
-func NewSystem(n int, cfg SystemConfig) *System { return core.NewSystem(n, cfg) }
-
-// NewNamedSystem creates sites with explicit names.
-func NewNamedSystem(names []SiteID, cfg SystemConfig) *System {
-	return core.NewNamedSystem(names, cfg)
-}
-
-// NewSite creates a single site on an endpoint (for TCP deployments).
-func NewSite(ep Endpoint, cfg SiteConfig) *Site { return core.NewSite(ep, cfg) }
-
-// NewNetwork creates an empty simulated network.
-func NewNetwork(opts ...vnet.Option) *Network { return vnet.NewNetwork(opts...) }
-
-// NewTCPEndpoint starts a TCP site endpoint (used by cmd/tacomad).
-func NewTCPEndpoint(id SiteID, addr string) (*vnet.TCPEndpoint, error) {
-	return vnet.NewTCPEndpoint(id, addr)
-}
-
-// OpenWAL recovers the write-ahead log in dir into cab (snapshot + log
-// tail, rear-guard checkpoints included) and attaches it as the cabinet's
-// journal, making every subsequent mutation crash-durable. For a serving
-// site, recover before the site exists and hand both to NewSite, so no
-// call is ever served against a half-recovered cabinet or acknowledged
-// without its durability barrier:
-//
-//	cab := tacoma.NewFileCabinet()
-//	wal, err := tacoma.OpenWAL(dir, cab, tacoma.WALOptions{})
-//	site := tacoma.NewSite(ep, tacoma.SiteConfig{Cabinet: cab, Durable: wal})
-func OpenWAL(dir string, cab *FileCabinet, opt WALOptions) (*WAL, error) {
-	return store.Open(dir, cab, opt)
-}
-
-// NewBriefcase returns an empty briefcase.
-func NewBriefcase() *Briefcase { return folder.NewBriefcase() }
+func NewSystem(n int, cfg SystemConfig) *core.System { return core.NewSystem(n, cfg) }
 
 // NewFolder returns an empty folder.
-func NewFolder() *Folder { return folder.New() }
-
-// NewFileCabinet returns an empty file cabinet (sites create their own; a
-// standalone cabinet is useful with OpenWAL for offline inspection of a
-// WAL directory's contents).
-func NewFileCabinet() *FileCabinet { return folder.NewCabinet() }
+func NewFolder() *folder.Folder { return folder.New() }
 
 // RunScript injects a TacL agent at a site: the script goes into the CODE
 // folder of bc (created when nil) and ag_tacl is met.
@@ -250,96 +85,33 @@ func RunScript(ctx context.Context, s *Site, src string, bc *Briefcase) (*Briefc
 	return core.RunScript(ctx, s, src, bc)
 }
 
-// NewInterp creates a standalone TacL interpreter with the builtin
-// commands but no site bindings.
-func NewInterp() *Interp { return tacl.New() }
-
 // NewGuard creates a guard over a policy and keyring (nil arguments get
 // fresh permissive defaults).
-func NewGuard(p *Policy, k *Keyring) *Guard { return guard.New(p, k) }
+func NewGuard(p *guard.Policy, k *guard.Keyring) *guard.Guard { return guard.New(p, k) }
 
 // NewPolicy returns an empty, permissive capability policy.
-func NewPolicy() *Policy { return guard.NewPolicy() }
+func NewPolicy() *guard.Policy { return guard.NewPolicy() }
 
 // NewKeyring returns an empty signing keyring.
-func NewKeyring() *Keyring { return guard.NewKeyring() }
+func NewKeyring() *guard.Keyring { return guard.NewKeyring() }
 
 // NewMeter creates a cycle meter charging activationFee per activation plus
 // one ECU per stepsPerUnit TacL steps.
-func NewMeter(stepsPerUnit int, activationFee int64) *Meter {
+func NewMeter(stepsPerUnit int, activationFee int64) *guard.Meter {
 	return guard.NewMeter(stepsPerUnit, activationFee)
 }
 
 // InstallGuard attaches a guard to a site: meets, arrivals, cabinet access,
 // and step accounting flow through it from then on.
-func InstallGuard(s *Site, g *Guard) *Guard { return guard.Install(s, g) }
-
-// SignBriefcase signs the named briefcase folders under the principal's
-// key (default: CODE, plus HOME when present).
-func SignBriefcase(k *Keyring, principal string, bc *Briefcase, folders ...string) error {
-	return guard.Sign(k, principal, bc, folders...)
-}
-
-// VerifyBriefcase checks a briefcase signature and returns the principal.
-func VerifyBriefcase(k *Keyring, bc *Briefcase) (string, error) {
-	return guard.Verify(k, bc)
-}
-
-// Principal returns a briefcase's claimed principal without verifying the
-// signature ("" when unsigned); verification happens at trust boundaries.
-func Principal(bc *Briefcase) string { return guard.Principal(bc) }
+func InstallGuard(s *Site, g *guard.Guard) *guard.Guard { return guard.Install(s, g) }
 
 // SignedScript prepares a briefcase for a signed roaming TacL agent; start
 // it with LaunchSigned.
-func SignedScript(k *Keyring, principal, home, src string, bc *Briefcase) (*Briefcase, error) {
+func SignedScript(k *guard.Keyring, principal, home, src string, bc *Briefcase) (*Briefcase, error) {
 	return guard.SignedScript(k, principal, home, src, bc)
 }
 
 // LaunchSigned starts a prepared signed agent at a site.
 func LaunchSigned(ctx context.Context, s *Site, bc *Briefcase) error {
 	return guard.Launch(ctx, s, bc)
-}
-
-// At directs a Meet to the named site: the briefcase travels there, the
-// agent executes there, and the mutated briefcase folds back on success.
-func At(dest SiteID) MeetOption { return core.At(dest) }
-
-// Async detaches a Meet: the call returns immediately and h reports
-// completion. Site.Wait quiesces outstanding asynchronous meets.
-func Async(h *Handle) MeetOption { return core.Async(h) }
-
-// Deadline bounds a Meet: the cancellation context expires at t.
-func Deadline(t time.Time) MeetOption { return core.Deadline(t) }
-
-// NewMesh attaches a fleet-membership mesh to a site. Join (or Start, on
-// the first site) brings it into the gossip group; Ring() then places
-// agents on live sites by consistent hashing.
-func NewMesh(s *Site, cfg MeshConfig) *Mesh { return mesh.New(s, cfg) }
-
-// NewBroker creates a standalone broker (resource scheduling state).
-func NewBroker() *Broker { return broker.NewBroker() }
-
-// InstallBroker registers the broker agent at a site and returns its
-// broker, ready for provider registrations and client requests.
-func InstallBroker(s *Site) *Broker { return broker.Install(s) }
-
-// InstallRearGuard registers the rear-guard agents at a site and returns
-// the manager used to Launch guarded itinerant computations and Recover
-// persisted checkpoints after a restart.
-func InstallRearGuard(s *Site) *RearGuard { return rearguard.Install(s) }
-
-// InstallMailbox registers the mailbox agent at a site, making it a mail
-// host for addresses of the form "user@site". Depositing mail wakes any
-// agent parked on the recipient's mailbox folder.
-func InstallMailbox(s *Site) { mail.InstallMailbox(s) }
-
-// SendMail dispatches a message via a courier agent from the given site;
-// wantReceipt asks the courier to carry a delivery receipt home.
-func SendMail(ctx context.Context, from *Site, msg Message, wantReceipt bool) error {
-	return mail.Send(ctx, from, msg, wantReceipt)
-}
-
-// ListMail fetches the messages in user's mailbox at a mail host.
-func ListMail(ctx context.Context, client *Site, user string, at SiteID) ([]Message, error) {
-	return mail.List(ctx, client, user, at)
 }

@@ -5,6 +5,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/folder"
+	"repro/internal/sched"
+	"repro/internal/tacl"
+	"repro/internal/vnet"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -36,7 +42,7 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeNamedSystem(t *testing.T) {
-	sys := NewNamedSystem([]SiteID{"tromso", "ithaca"}, SystemConfig{})
+	sys := core.NewNamedSystem([]vnet.SiteID{"tromso", "ithaca"}, SystemConfig{})
 	defer sys.Wait()
 	if sys.Site("tromso") == nil || sys.Site("ithaca") == nil {
 		t.Fatal("named sites missing")
@@ -63,7 +69,7 @@ func TestFacadeNativeAgent(t *testing.T) {
 		bc.PutString(ResultFolder, a+"+"+b)
 		return nil
 	}))
-	bc := NewBriefcase()
+	bc := folder.NewBriefcase()
 	bc.PutString("A", "1")
 	bc.PutString("B", "2")
 	if err := sys.SiteAt(0).MeetClient(context.Background(), "adder", bc); err != nil {
@@ -75,7 +81,7 @@ func TestFacadeNativeAgent(t *testing.T) {
 }
 
 func TestFacadeInterp(t *testing.T) {
-	in := NewInterp()
+	in := tacl.New()
 	got, err := in.Eval(`expr {2 ** 1}`)
 	if err == nil {
 		t.Fatalf("unsupported operator evaluated to %q", got)
@@ -87,22 +93,22 @@ func TestFacadeInterp(t *testing.T) {
 }
 
 // TestTCPDeployment wires two sites the way cmd/tacomad does — real TCP
-// sockets — and roams a TacL agent between them through the public API.
+// sockets — and roams a TacL agent between them.
 func TestTCPDeployment(t *testing.T) {
-	epA, err := NewTCPEndpoint("alpha", "127.0.0.1:0")
+	epA, err := vnet.NewTCPEndpoint("alpha", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer epA.Close()
-	epB, err := NewTCPEndpoint("beta", "127.0.0.1:0")
+	epB, err := vnet.NewTCPEndpoint("beta", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer epB.Close()
 	epA.AddPeer("beta", epB.Addr())
 	epB.AddPeer("alpha", epA.Addr())
-	siteA := NewSite(epA, SiteConfig{})
-	siteB := NewSite(epB, SiteConfig{})
+	siteA := core.NewSite(epA, core.SiteConfig{})
+	siteB := core.NewSite(epB, core.SiteConfig{})
 	defer siteA.Wait()
 	defer siteB.Wait()
 
@@ -127,15 +133,6 @@ func TestTCPDeployment(t *testing.T) {
 	}
 }
 
-func TestFacadeSystemAgentConstants(t *testing.T) {
-	sys := NewSystem(1, SystemConfig{})
-	for _, name := range []string{AgTacl, AgRexec, AgCourier, AgDiffusion} {
-		if _, ok := sys.SiteAt(0).Lookup(name); !ok {
-			t.Errorf("system agent %q not registered", name)
-		}
-	}
-}
-
 func TestFacadeCabinetAccess(t *testing.T) {
 	sys := NewSystem(1, SystemConfig{})
 	cab := sys.SiteAt(0).Cabinet()
@@ -154,8 +151,7 @@ func TestFacadeCabinetAccess(t *testing.T) {
 	}
 }
 
-// TestFacadeUnifiedMeet drives the redesigned entry point and its options
-// entirely through the facade.
+// TestFacadeUnifiedMeet drives the unified entry point with its options.
 func TestFacadeUnifiedMeet(t *testing.T) {
 	sys := NewSystem(2, SystemConfig{Seed: 1})
 	defer sys.Wait()
@@ -166,17 +162,17 @@ func TestFacadeUnifiedMeet(t *testing.T) {
 			return nil
 		}))
 	}
-	bc := NewBriefcase()
+	bc := folder.NewBriefcase()
 	if err := a.Meet(context.Background(), "where", bc,
-		At(b.ID()), Deadline(time.Now().Add(time.Minute))); err != nil {
+		core.At(b.ID()), core.Deadline(time.Now().Add(time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	if at, _ := bc.GetString("AT"); at != "site-1" {
 		t.Fatalf("At(site-1) ran at %q", at)
 	}
-	var h Handle
-	bc = NewBriefcase()
-	if err := a.Meet(context.Background(), "where", bc, Async(&h)); err != nil {
+	var h sched.Handle
+	bc = folder.NewBriefcase()
+	if err := a.Meet(context.Background(), "where", bc, core.Async(&h)); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Wait(context.Background()); err != nil {
@@ -187,56 +183,6 @@ func TestFacadeUnifiedMeet(t *testing.T) {
 	}
 	if st := a.WireStats(); st.MeetsV2 == 0 {
 		t.Fatalf("WireStats = %+v, expected a sent meet", st)
-	}
-}
-
-// TestFacadeSubsystemCatchUp exercises the re-exported subsystem surface:
-// mesh, broker, rear guard, and mail — including a mail deposit waking a
-// parked agent through the facade.
-func TestFacadeSubsystemCatchUp(t *testing.T) {
-	sys := NewSystem(2, SystemConfig{Seed: 1})
-	defer sys.Wait()
-	a, b := sys.SiteAt(0), sys.SiteAt(1)
-
-	m := NewMesh(a, MeshConfig{})
-	m.Start()
-	defer m.Stop()
-	var ring *Ring = m.Ring()
-	if owner, ok := ring.Owner("anyone"); !ok || owner != a.ID() {
-		t.Fatalf("one-site ring owner = %q, %v", owner, ok)
-	}
-
-	var br *Broker = InstallBroker(a)
-	if br == nil {
-		t.Fatal("InstallBroker returned nil")
-	}
-	var rg *RearGuard = InstallRearGuard(a)
-	if rg.ActiveGuards() != 0 {
-		t.Fatal("fresh rear-guard manager has active guards")
-	}
-
-	InstallMailbox(a)
-	InstallMailbox(b)
-	if _, err := RunScript(context.Background(), b, `
-		if {![bc_has PARK_HOP]} { park fred-notifier MBOX:fred }
-		cab_append NOTIFIED x
-	`, nil); err != nil {
-		t.Fatal(err)
-	}
-	msg := Message{From: "ann@site-0", To: "fred@site-1", Subject: "hi", Body: "wake up"}
-	if err := SendMail(context.Background(), a, msg, false); err != nil {
-		t.Fatal(err)
-	}
-	sys.Wait()
-	if n := b.Cabinet().FolderLen("NOTIFIED"); n != 1 {
-		t.Fatalf("mail deposit woke parked agent %d times, want 1", n)
-	}
-	msgs, err := ListMail(context.Background(), a, "fred", b.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || msgs[0].Subject != "hi" {
-		t.Fatalf("ListMail = %+v", msgs)
 	}
 }
 
