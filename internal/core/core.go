@@ -76,17 +76,6 @@ type MeetContext struct {
 	Depth int
 }
 
-// child derives the context for a nested meet.
-func (mc *MeetContext) child(agent string) *MeetContext {
-	return &MeetContext{
-		Ctx:   mc.Ctx,
-		Site:  mc.Site,
-		From:  mc.Agent,
-		Agent: agent,
-		Depth: mc.Depth + 1,
-	}
-}
-
 // SiteConfig tunes a site's autonomy policies.
 type SiteConfig struct {
 	// MaxSteps bounds TacL steps per agent activation (0 = default).

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 
 	"repro/internal/cash"
@@ -151,17 +150,4 @@ func E11Security(ctx context.Context, budget int64, stepsPerUnit int, seed int64
 	total := meter.Earned() + row.HonestRemaining
 	row.MoneySupplyIntact = total == mint.Issued()
 	return row, nil
-}
-
-// E11Sweep exercises a few budgets for the results table.
-func E11Sweep(ctx context.Context) ([]E11Row, error) {
-	var rows []E11Row
-	for _, budget := range []int64{3, 10, 50} {
-		row, err := E11Security(ctx, budget, 25, 17)
-		if err != nil {
-			return nil, fmt.Errorf("e11 budget=%d: %w", budget, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -22,10 +22,6 @@ import (
 
 // E2Row is one flooding measurement.
 type E2Row struct {
-	Variant     string
-	Topology    string
-	Sites       int
-	TTL         int // 0 when not applicable
 	Activations int64
 	Delivered   int
 	Duplicates  int
@@ -103,7 +99,7 @@ func E2Flood(ctx context.Context, variant, topology string, sites, ttl int) (E2R
 	if err := buildTopology(sys, topology); err != nil {
 		return E2Row{}, err
 	}
-	row := E2Row{Variant: variant, Topology: topology, Sites: sites, TTL: ttl}
+	var row E2Row
 
 	switch variant {
 	case "naive", "marking", "briefcase":
@@ -146,36 +142,4 @@ func E2Flood(ctx context.Context, variant, topology string, sites, ttl int) (E2R
 		}
 	}
 	return row, nil
-}
-
-// E2Sweep compares the variants across topology sizes.
-func E2Sweep(ctx context.Context) ([]E2Row, error) {
-	var rows []E2Row
-	for _, n := range []int{8, 16} {
-		for ttl := 4; ttl <= 8; ttl += 2 {
-			row, err := E2Flood(ctx, "naive", "ring", n, ttl)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-		for _, variant := range []string{"briefcase", "marking", "diffusion"} {
-			row, err := E2Flood(ctx, variant, "ring", n, 0)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	// Grid and mesh coverage for the well-behaved variants.
-	for _, topo := range []string{"grid", "mesh"} {
-		for _, variant := range []string{"marking", "diffusion"} {
-			row, err := E2Flood(ctx, variant, topo, 16, 0)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
 }

@@ -23,8 +23,6 @@ import (
 
 // E5Row is one double-spending measurement.
 type E5Row struct {
-	Transfers     int
-	ReplayRate    float64
 	WithValidator int // double spends accepted (must be 0)
 	Naive         int // double spends accepted without validation
 	FraudsCaught  int64
@@ -39,7 +37,7 @@ func E5DoubleSpend(ctx context.Context, transfers int, replayRate float64, seed 
 		return E5Row{}, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	row := E5Row{Transfers: transfers, ReplayRate: replayRate}
+	var row E5Row
 
 	// The adversary keeps copies of bills it has already spent.
 	var spentCopies []cash.ECU

@@ -20,12 +20,7 @@ import (
 
 // E7Row is one scheduling measurement.
 type E7Row struct {
-	Policy     string
-	Jobs       int
-	Providers  int
-	StalenessK int     // monitor reports every k placements (broker policy)
-	Imbalance  float64 // peak weighted backlog over ideal (1.0 = perfect)
-	PeakQueue  int64
+	Imbalance float64 // peak weighted backlog over ideal (1.0 = perfect)
 }
 
 // e7Sim is a small discrete-time queueing simulation: one job arrives per
@@ -105,7 +100,7 @@ func E7Placement(policy string, jobs int, caps []int64, stalenessK int, seed int
 		work[i] = 1 + rng.Int63n(9) // job durations 1..9
 	}
 
-	row := E7Row{Policy: policy, Jobs: jobs, Providers: len(caps), StalenessK: stalenessK}
+	var row E7Row
 	for j := 0; j < jobs; j++ {
 		var chosen int
 		switch policy {
@@ -135,33 +130,5 @@ func E7Placement(policy string, jobs int, caps []int64, stalenessK int, seed int
 		ideal = 1
 	}
 	row.Imbalance = sim.peak / ideal
-	for _, q := range sim.queues {
-		if q > row.PeakQueue {
-			row.PeakQueue = q
-		}
-	}
-	row.PeakQueue = int64(sim.peak * 10) // peak weighted backlog ×10 for readability
 	return row, nil
-}
-
-// E7Sweep compares policies and staleness settings on a skewed cluster.
-func E7Sweep() ([]E7Row, error) {
-	caps := []int64{8, 4, 2, 1, 1}
-	const jobs = 400
-	var rows []E7Row
-	for _, policy := range []string{"random", "round-robin"} {
-		row, err := E7Placement(policy, jobs, caps, 0, 7)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	for _, k := range []int{1, 8, 64, 400} {
-		row, err := E7Placement("broker", jobs, caps, k, 7)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -26,13 +26,8 @@ import (
 
 // E8Row is one fault-tolerance measurement.
 type E8Row struct {
-	Guards     bool
-	Trials     int
-	CrashProb  float64
-	HopLength  int
-	Completed  int
-	Relaunches int
-	MeanTime   time.Duration // mean completion wall time (completed runs)
+	Trials    int
+	Completed int
 }
 
 // E8Survival runs `trials` guarded or unguarded journeys under crash
@@ -40,10 +35,9 @@ type E8Row struct {
 // executing on goes down mid-task (the agent vanishes with it, exactly the
 // failure the rear guard exists for) and restarts 40ms later.
 func E8Survival(ctx context.Context, trials, hops int, crashProb float64, guards bool, seed int64) (E8Row, error) {
-	row := E8Row{Guards: guards, Trials: trials, CrashProb: crashProb, HopLength: hops}
+	row := E8Row{Trials: trials}
 	const callTimeout, restartDelay = 15 * time.Millisecond, 40 * time.Millisecond
 	rng := rand.New(rand.NewSource(seed))
-	var totalTime time.Duration
 
 	for trial := 0; trial < trials; trial++ {
 		sys := core.NewSystem(hops+1, core.SystemConfig{
@@ -94,7 +88,6 @@ func E8Survival(ctx context.Context, trials, hops int, crashProb float64, guards
 			}()
 		}
 
-		start := time.Now()
 		ch, err := managers[0].Launch(ctx, rearguard.Config{
 			ID: fmt.Sprintf("e8-%d", trial), Task: "work", Itinerary: itin, Guards: guards,
 		}, nil)
@@ -118,13 +111,8 @@ func E8Survival(ctx context.Context, trials, hops int, crashProb float64, guards
 		}
 		if res.Completed {
 			row.Completed++
-			row.Relaunches += res.Relaunches
-			totalTime += time.Since(start)
 		}
 		sys.Wait()
-	}
-	if row.Completed > 0 {
-		row.MeanTime = totalTime / time.Duration(row.Completed)
 	}
 	return row, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mail"
@@ -12,18 +11,15 @@ import (
 
 // E9: StormCast (§6). A roaming collector agent filters observations at
 // each sensor site versus a centralized puller; both must reach the same
-// forecast. We sweep the observation window to expose the crossover: for
+// forecast. Varying the observation window exposes the crossover: for
 // tiny windows the agent's fixed briefcase overhead loses; for realistic
 // windows filtering at the data site wins by a growing factor.
 
 // E9Row is one StormCast measurement.
 type E9Row struct {
-	Grid        string
-	Window      int
-	AgentBytes  int64
-	PullBytes   int64
-	Agree       bool
-	AccuracyPct float64
+	AgentBytes int64
+	PullBytes  int64
+	Agree      bool
 }
 
 // E9StormCast measures one window size on a w×h grid.
@@ -31,7 +27,7 @@ func E9StormCast(ctx context.Context, w, h, window int) (E9Row, error) {
 	field := stormcast.NewField(w, h, 1995, core.SystemConfig{})
 	defer field.Sys.Wait()
 	expert := stormcast.DefaultExpert()
-	row := E9Row{Grid: fmt.Sprintf("%dx%d", w, h), Window: window}
+	var row E9Row
 	t := window + 10 // ensure full windows
 
 	field.Sys.Net.ResetStats()
@@ -48,38 +44,15 @@ func E9StormCast(ctx context.Context, w, h, window int) (E9Row, error) {
 	}
 	row.PullBytes = field.Sys.Net.Stats().BytesTotal
 	row.Agree = roam.Storm == central.Storm
-
-	acc, err := field.Accuracy(ctx, 0, 20, window, expert, stormcast.RoamingForecast)
-	if err != nil {
-		return row, err
-	}
-	row.AccuracyPct = acc * 100
 	return row, nil
 }
 
-// E9Sweep sweeps the observation window on a 4×4 grid.
-func E9Sweep(ctx context.Context) ([]E9Row, error) {
-	var rows []E9Row
-	for _, window := range []int{5, 15, 50, 150} {
-		row, err := E9StormCast(ctx, 4, 4, window)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // E10: agent mail (§6). M messages between users on distinct sites,
-// measuring delivery integrity, receipt round trips, and throughput.
+// measuring delivery integrity and receipt round trips.
 
 // E10Row is one mail measurement.
 type E10Row struct {
-	Users     int
-	Messages  int
-	Receipts  bool
 	Delivered int
-	MsgPerSec float64
 }
 
 // E10Mail sends messages pairwise between users and verifies mailboxes.
@@ -89,9 +62,7 @@ func E10Mail(ctx context.Context, users, messages int, receipts bool) (E10Row, e
 	for i := 0; i < users; i++ {
 		mail.InstallMailbox(sys.SiteAt(i))
 	}
-	row := E10Row{Users: users, Messages: messages, Receipts: receipts}
-
-	start := time.Now()
+	var row E10Row
 	for i := 0; i < messages; i++ {
 		fromSite := sys.SiteAt(i % users)
 		toSite := sys.SiteAt((i + 1) % users)
@@ -105,8 +76,6 @@ func E10Mail(ctx context.Context, users, messages int, receipts bool) (E10Row, e
 			return row, err
 		}
 	}
-	elapsed := time.Since(start)
-
 	for u := 0; u < users; u++ {
 		headers, err := mail.List(ctx, sys.SiteAt(0), fmt.Sprintf("u%d", u), sys.SiteAt(u).ID())
 		if err != nil {
@@ -126,6 +95,5 @@ func E10Mail(ctx context.Context, users, messages int, receipts bool) (E10Row, e
 			return row, fmt.Errorf("e10: %d receipts for %d messages", total, messages)
 		}
 	}
-	row.MsgPerSec = float64(messages) / elapsed.Seconds()
 	return row, nil
 }

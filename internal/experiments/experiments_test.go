@@ -26,6 +26,7 @@ func TestE1AgentWinsAtLargeRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("4 sites x 40 records of 2048 B, 5%% match: %+v, client/agent %.2fx", row, row.Ratio())
 	if row.Ratio() < 2 {
 		t.Fatalf("ratio = %.2f (agent %d vs client %d), want >= 2",
 			row.Ratio(), row.AgentBytes, row.ClientBytes)
@@ -42,6 +43,7 @@ func TestE1ClientWinsAtTinyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("4 sites x 3 records of 16 B, 50%% match: %+v, client/agent %.2fx", row, row.Ratio())
 	if row.Ratio() > 1 {
 		t.Fatalf("expected client-server to win at tiny records, ratio=%.2f", row.Ratio())
 	}
@@ -75,6 +77,8 @@ func TestE2NaiveGrowsMarkingDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("ring of 8:\n naive ttl 4 %+v\n naive ttl 6 %+v\n marking     %+v\n diffusion   %+v",
+		naive4, naive6, marking, diffusion)
 	if diffusion.Delivered != 8 || diffusion.Duplicates != 0 {
 		t.Fatalf("diffusion: %+v", diffusion)
 	}
@@ -92,6 +96,7 @@ func TestE2BriefcaseAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("ring of 8:\n briefcase %+v\n marking   %+v", briefcase, marking)
 	if briefcase.Delivered != 8 {
 		t.Fatalf("briefcase variant delivered %d", briefcase.Delivered)
 	}
@@ -114,8 +119,7 @@ func TestE2UnknownInputs(t *testing.T) {
 	}
 }
 
-// E3: folders are cheap to move and cabinets are fast to access. The
-// checks are the ones BenchmarkE3FolderMoveVsCabinetAccess times.
+// E3: folders are cheap to move and cabinets are fast to access.
 func TestE3FolderMoveAndCabinetAccess(t *testing.T) {
 	for _, size := range []int{64, 1024, 65536} {
 		var elems [][]byte
@@ -150,9 +154,8 @@ func TestE3FolderMoveAndCabinetAccess(t *testing.T) {
 	}
 }
 
-// E4: meet suffices as the sole IPC primitive. Every interaction that
-// BenchmarkE4MeetRexecCourier times is one meet by the client, and each
-// one succeeds.
+// E4: meet suffices as the sole IPC primitive. Every kind of interaction
+// is one meet by the client, and each one succeeds.
 func TestE4EveryInteractionIsOneMeet(t *testing.T) {
 	ctx := context.Background()
 	where := core.AgentFunc(func(mc *core.MeetContext, bc *folder.Briefcase) error {
@@ -246,6 +249,7 @@ func TestE5ValidatorStopsAllDoubleSpends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("300 transfers, replay rate 0.3: %+v", row)
 	if row.WithValidator != 0 {
 		t.Fatalf("validator accepted %d double spends", row.WithValidator)
 	}
@@ -262,6 +266,7 @@ func TestE6AuditAlwaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("verdicts: %+v", rows)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -286,6 +291,7 @@ func TestE7BrokerBeatsRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("400 jobs on capacities %v: broker %+v, random %+v, round-robin %+v", caps, brokerRow, randomRow, rrRow)
 	if brokerRow.Imbalance >= randomRow.Imbalance {
 		t.Fatalf("broker %.2f not better than random %.2f", brokerRow.Imbalance, randomRow.Imbalance)
 	}
@@ -304,6 +310,7 @@ func TestE7StalenessDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("broker, reports every 1 placement %+v, every 400 %+v", fresh, stale)
 	if stale.Imbalance < fresh.Imbalance {
 		t.Fatalf("staleness improved placement? fresh=%.2f stale=%.2f",
 			fresh.Imbalance, stale.Imbalance)
@@ -327,6 +334,7 @@ func TestE8GuardsImproveSurvival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("4 hops, crash every trial: guarded %+v, unguarded %+v", guarded, unguarded)
 	if guarded.Completed <= unguarded.Completed {
 		t.Fatalf("guards did not help: guarded %d/%d vs unguarded %d/%d",
 			guarded.Completed, guarded.Trials, unguarded.Completed, unguarded.Trials)
@@ -343,6 +351,7 @@ func TestE8IntervalAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("guard interval vs recovery: %+v", rows)
 	for _, row := range rows {
 		if row.Completed != row.Trials {
 			t.Fatalf("interval %v: %d/%d completed", row.Interval, row.Completed, row.Trials)
@@ -365,6 +374,7 @@ func TestE9WindowCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("3x3 grid: window 5 %+v, window 120 %+v", small, large)
 	if !small.Agree || !large.Agree {
 		t.Fatal("strategies disagree on the forecast")
 	}
@@ -389,6 +399,7 @@ func TestE10MailDeliversAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("4 users: 24 messages %+v, 12 with receipts %+v", row, withReceipts)
 	if withReceipts.Delivered != 12 {
 		t.Fatalf("delivered %d/12 with receipts", withReceipts.Delivered)
 	}
@@ -401,6 +412,7 @@ func TestE11HostileAgentsContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("budget 10: %+v", row)
 	if !row.UnsignedRejected {
 		t.Error("unsigned briefcase was not rejected by the firewall")
 	}
@@ -433,6 +445,7 @@ func TestE11HonestAgentKeepsChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("budget 50: %+v", row)
 	if !row.HonestCompleted {
 		t.Fatal("honest agent failed")
 	}

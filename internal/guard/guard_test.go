@@ -572,6 +572,12 @@ func TestOpenSiteAdmitsUnknownPrincipal(t *testing.T) {
 	if got, _ := bc.GetString(folder.ResultFolder); got != "welcomed" {
 		t.Fatalf("RESULT = %q", got)
 	}
+	// So does an unsigned local meet of a native agent.
+	sys.SiteAt(0).Register("noop", core.AgentFunc(
+		func(*core.MeetContext, *folder.Briefcase) error { return nil }))
+	if err := sys.SiteAt(0).MeetClient(ctxb(), "noop", folder.NewBriefcase()); err != nil {
+		t.Fatalf("open site refused an unsigned local meet: %v", err)
+	}
 }
 
 func TestSpoofedBillingNoticeQuarantined(t *testing.T) {

@@ -50,19 +50,6 @@ func internSymLocked(name string) *symbol {
 	return s
 }
 
-// internSym interns a trusted (host-registered) command name.
-func internSym(name string) *symbol {
-	symtab.mu.RLock()
-	s := symtab.m[name]
-	symtab.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	symtab.mu.Lock()
-	defer symtab.mu.Unlock()
-	return internSymLocked(name)
-}
-
 // internScriptSym interns a command name seen in script source, or returns
 // nil once the script-driven portion of the symbol table is full (the
 // compiler then emits a dynamic call for that command).
